@@ -16,10 +16,11 @@ from .measurements import (
     DopplerNoiseSpec,
     MatchObservation,
     RadarDetection,
+    RadarScan,
     doppler_model,
     point_constraint_model,
 )
-from .simulator import RadarScan, SimConfig, SimOutput, TrajectorySpec, run_simulation
+from .simulator import SimConfig, SimOutput, TrajectorySpec, run_simulation
 from .symmetry import (
     GRAVITY,
     SymmetryElement,

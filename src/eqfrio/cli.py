@@ -16,17 +16,14 @@ import numpy as np
 
 from . import io as eqio
 from .evaluation import associate, emit_plot_data, evaluate_run, write_metrics
-from .io import ConfigError, DatasetBundle, parse_kv_file, parse_perturbation
+from .io import ConfigError, DatasetBundle, parse_kv_file
 from .lie import SE3, SO3
 from .pipeline import (
     RUN_SCHEMA,
     SIM_SCHEMA,
-    init_std_vector,
-    initial_covariance,
-    initial_state_from_truth,
     montecarlo,
+    prepare_run,
     run_filter,
-    settings_from_values,
     sim_setup_from_values,
 )
 from .simulator import run_simulation
@@ -60,20 +57,14 @@ def cmd_run(data_dir, config_path, out_dir) -> int:
     bundle = DatasetBundle.open(data_dir)
     times, gyro, accel = eqio.read_imu_csv(bundle.imu_path)
     scans = eqio.read_radar_csv(bundle.radar_path)
-    settings = settings_from_values(values, bundle.meta["imu_rate"])
-
-    perturb = parse_perturbation(values["perturb.calibration"])
     cal_true = SE3.from_components(SO3.exp(np.asarray(bundle.meta["cal_rot_true"])),
                                    np.asarray(bundle.meta["cal_pos_true"]))
     if bundle.groundtruth_path is not None:
-        gt_t, gt_rot, gt_pos, gt_vel = eqio.read_groundtruth_csv(bundle.groundtruth_path)
-        xi0 = initial_state_from_truth(gt_rot[0], gt_vel[0], gt_pos[0],
-                                       cal_true, perturb)
+        _, gt_rot, gt_pos, gt_vel = eqio.read_groundtruth_csv(bundle.groundtruth_path)
+        start = (gt_rot[0], gt_vel[0], gt_pos[0])
     else:
-        xi0 = initial_state_from_truth(np.eye(3), np.zeros(3), np.zeros(3),
-                                       cal_true, perturb)
-    cov0 = initial_covariance(
-        xi0, init_std_vector(values, float(np.linalg.norm(perturb))))
+        start = (np.eye(3), np.zeros(3), np.zeros(3))
+    settings, xi0, cov0 = prepare_run(values, bundle.meta["imu_rate"], *start, cal_true)
 
     cal_rot_truth = cal_true[0:3, 0:3] if bundle.meta["has_extrinsics_truth"] else None
     result = run_filter(times, gyro, accel, scans, xi0, cov0, settings,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lie import SO3, skew
+from .lie import SO3, skew, unskew
 
 CONVERGENCE_ANGLE = np.deg2rad(5.0)
 
@@ -156,8 +156,12 @@ def drift(pair: AlignedPair, length: float) -> tuple[float, float]:
 
 
 def calibration_error(S_true, S_hat) -> float:
-    """Geodesic angle between the true and estimated mount rotations."""
-    return float(np.linalg.norm(SO3.log(np.asarray(S_true).T @ np.asarray(S_hat))))
+    """Geodesic angle between the true and estimated mount rotations, from
+    the skew part and the trace of D = S_true^T S_hat.  Unlike the log, this
+    is exact at every angle, pi included."""
+    D = np.asarray(S_true).T @ np.asarray(S_hat)
+    return float(np.arctan2(0.5 * np.linalg.norm(unskew(D - D.T)),
+                            0.5 * (np.trace(D) - 1.0)))
 
 
 def classify_convergence(e_angle: np.ndarray, threshold: float = CONVERGENCE_ANGLE) -> str:

@@ -84,8 +84,6 @@ class FilterBelief:
     cov: np.ndarray
     stamps: tuple = ()
     features: tuple = ()
-    last_input: SystemInput | None = None
-    last_time: float | None = None
 
     @property
     def n_clones(self) -> int:
@@ -267,55 +265,18 @@ def update_msc(belief: FilterBelief, matches, noise: DopplerNoiseSpec,
                          np.array(noise_diag), gate)
 
 
-def _clone_error_jacobian(belief: FilterBelief, step: float = 1e-6) -> np.ndarray:
-    """Sensitivity of the new clone's error to the current error, by central
-    differences through the chart.  With the identity origin this equals
-    selecting the extrinsic block, but differencing keeps it convention-proof.
-
-    Only the chart path that reaches the radar pose is evaluated: the bias
-    slot and the clone factors never enter it (their columns are identically
-    zero), which keeps the differencing at a few matrix products per column.
-    """
-    nav_hat, cal_hat = belief.sym.nav, belief.sym.cal
-    pose_hat = project_group(SE23, SE3, nav_hat)
-    # radar pose of the estimate, written through the same chain as below
-    radar_hat_inv = SE3.inverse(pose_hat @ SE3.inverse(pose_hat) @ cal_hat)
-
-    def clone_error(eps):
-        nav = SE23.exp(eps[0:9]) @ nav_hat
-        cal_factor = SE3.exp(eps[18:24]) @ cal_hat
-        pose = project_group(SE23, SE3, nav)
-        radar = pose @ SE3.inverse(pose) @ cal_factor
-        return SE3.log(radar @ radar_hat_inv)
-
-    J = np.zeros((6, belief.dof))
-    cols = list(range(0, 9)) + list(range(18, 24))
-    for i in cols:
-        eps = np.zeros(24)
-        eps[i] = step
-        plus = clone_error(eps)
-        eps[i] = -step
-        minus = clone_error(eps)
-        J[:, i] = (plus - minus) / (2.0 * step)
-    return J
-
-
 def clone_augment(belief: FilterBelief, stamp: float, feature_ids,
                   k_max: int = 10) -> FilterBelief:
-    """Append a clone of the current radar pose with a consistently
-    correlated covariance block."""
+    """Append a clone of the current radar pose.  With the identity origin
+    the extrinsic slot is the world-frame radar pose, so the new clone's
+    error equals the extrinsic error exactly: its covariance rows and
+    columns are copies of the extrinsic ones (18:24)."""
     if belief.n_clones >= k_max:
         raise ValueError("clone window full; marginalize first")
     if belief.stamps and stamp <= belief.stamps[-1]:
         raise ValueError("clone timestamps must be strictly increasing")
-    Jc = _clone_error_jacobian(belief)
-    n = belief.dof
-    cov = np.zeros((n + 6, n + 6))
-    cov[0:n, 0:n] = belief.cov
-    cross = Jc @ belief.cov
-    cov[n:, 0:n] = cross
-    cov[0:n, n:] = cross.T
-    cov[n:, n:] = Jc @ belief.cov @ Jc.T
+    sel = np.r_[0 : belief.dof, 18:24]
+    cov = belief.cov[np.ix_(sel, sel)]
     sym = replace(belief.sym, clones=belief.sym.clones + (belief.sym.cal.copy(),))
     return replace(
         belief,

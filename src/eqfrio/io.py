@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .measurements import RadarDetection, RadarScan
+
 FLOAT_FMT = "%.17g"
 
 
@@ -123,9 +125,6 @@ def write_radar_csv(path, scans):
 def read_radar_csv(path):
     """Returns scans grouped by scan_id as (stamp, scan_id, detections) with
     detections (feature_id, point, doppler)."""
-    from .measurements import RadarDetection
-    from .simulator import RadarScan
-
     data = _read_csv(path, RADAR_HEADER)
     scans = []
     for row in data:

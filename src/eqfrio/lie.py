@@ -76,15 +76,6 @@ def _series(core: np.ndarray, first_denominator: int) -> np.ndarray:
     return total
 
 
-def left_jacobian_from_little_adjoint(ad: np.ndarray) -> np.ndarray:
-    """Left Jacobian sum_k ad^k / (k+1)!, valid for any of the groups here.
-
-    Only safe while the series converges within the term budget; callers with
-    potentially large arguments must go through _left_jacobian_stable.
-    """
-    return _series(ad, 2)
-
-
 def _left_jacobian_stable(group, u: np.ndarray) -> np.ndarray:
     """Left Jacobian by argument halving.
 

@@ -40,6 +40,13 @@ class RadarDetection:
 
 
 @dataclass(frozen=True)
+class RadarScan:
+    stamp: float
+    scan_id: int
+    detections: tuple     # RadarDetection records
+
+
+@dataclass(frozen=True)
 class DopplerNoiseSpec:
     """Noise entering a single Doppler row: gyro sample noise, range and
     bearing noise of the 3D point, and direct Doppler noise."""
@@ -103,25 +110,12 @@ def _doppler_blocks(X: SymmetryElement, origin_gyro, point):
     return point, rng, A, a, E, f, psi, lever, omega
 
 
-def doppler_output_matrix(X: SymmetryElement, origin_gyro, point) -> np.ndarray:
-    """Row of the linearized Doppler output in error coordinates.
-
-    `origin_gyro` is the gyro sample transported through the inverse input
-    action of the current estimate.  Clone columns are zero: the Doppler
-    output involves no past pose.
-    """
-    return doppler_rows(X, origin_gyro, point)[0]
-
-
-def doppler_noise_matrix(X: SymmetryElement, origin_gyro, point) -> np.ndarray:
-    """Row of the Doppler residual sensitivity to the 7 noise entries
-    (gyro sample, point range/bearing, direct Doppler)."""
-    return doppler_rows(X, origin_gyro, point)[1]
-
-
 def doppler_rows(X: SymmetryElement, origin_gyro, point):
-    """Output row and noise row of one Doppler return, sharing the common
-    blocks."""
+    """Output row (error coordinates) and noise row (gyro sample, point
+    range/bearing, direct Doppler) of one Doppler return, sharing the common
+    blocks.  `origin_gyro` is the gyro sample transported through the inverse
+    input action of the current estimate.  Clone columns are zero: the
+    Doppler output involves no past pose."""
     point, rng, A, a, E, f, psi, lever, omega = _doppler_blocks(
         X, origin_gyro, point
     )
@@ -165,24 +159,14 @@ def _point_blocks(X: SymmetryElement, clone_index: int, point_then):
     return Ei, y, h_vec
 
 
-def point_output_matrix(X: SymmetryElement, clone_index: int, point_then) -> np.ndarray:
-    """Row of the linearized range constraint in error coordinates.  Only the
-    extrinsic block and the matched clone block are populated; navigation and
-    bias errors cancel exactly in these coordinates."""
-    return point_rows(X, clone_index, point_then)[0]
-
-
-def point_noise_matrix(X: SymmetryElement, clone_index: int, point_then) -> np.ndarray:
-    """Sensitivity of the range residual to the range/bearing noise of the
-    current point (first three entries) and the past point (last three).
-    The current point enters only through its norm, so its bearing noise
-    drops out and only the leading range entry survives."""
-    return point_rows(X, clone_index, point_then)[1]
-
-
 def point_rows(X: SymmetryElement, clone_index: int, point_then):
     """Output row and noise row of one re-observation, sharing the common
-    blocks."""
+    blocks.  Only the extrinsic and the matched clone blocks of the output
+    row are populated; navigation and bias errors cancel exactly in these
+    coordinates.  The noise row covers the range/bearing noise of the
+    current point (first three entries) and the past point (last three); the
+    current point enters only through its norm, so only its range entry
+    survives."""
     point_then = np.asarray(point_then, dtype=float)
     Ei, y, h_vec = _point_blocks(X, clone_index, point_then)
     row = np.zeros(24 + 6 * X.n_clones)

@@ -35,15 +35,13 @@ from .filter import (
     update_msc,
 )
 from .io import ConfigError, parse_perturbation
-from .lie import SE3, SE23, SO3
-from .measurements import DopplerNoiseSpec, MatchObservation
-from .simulator import RadarScan, SimConfig, TrajectorySpec, run_simulation
+from .lie import SE3, SE23, SO3, skew
+from .measurements import DopplerNoiseSpec, MatchObservation, RadarScan
+from .simulator import SimConfig, TrajectorySpec, run_simulation
 from .symmetry import (
     GRAVITY,
     SystemInput,
     SystemState,
-    error_coordinates,
-    identity_state,
 )
 
 RUN_SCHEMA = {
@@ -209,33 +207,35 @@ def settings_from_values(values: dict, imu_rate: float) -> RunSettings:
 
 
 def initial_covariance(xi_hat: SystemState, std: np.ndarray) -> np.ndarray:
-    """Transport a diagonal of physical standard deviations (attitude,
-    velocity, position, biases, mount rotation, mount translation) into the
-    filter's error coordinates by differencing the chart."""
+    """Transport a diagonal of physical standard deviations into the
+    filter's error coordinates through the chart's closed-form Jacobian G at
+    xi_hat.  The physical errors are: attitude d in R exp(d), velocity and
+    position in the world frame, biases, and the mount rotation and
+    translation right-multiplied on the extrinsic pose.  With P the pose,
+    R the attitude, p the position and T = (R, p) cal the world-frame radar
+    pose, G has the blocks
+
+        G[0:9, 0:9]     = Ad_SE23(P) diag(I, R^T, R^T)
+        G[9:18, 9:18]   = -Ad_SE23(P)
+        G[18:24, 0:9]   = [[R, 0, 0], [p^ R, 0, I]]
+        G[18:24, 18:24] = Ad_SE3(T)
+
+    and zeros elsewhere.
+    """
     std = np.asarray(std, dtype=float)
     if std.shape != (24,):
         raise ValueError("expected 24 standard deviations")
-    origin = identity_state()
-    base = SystemState(pose=xi_hat.pose, bias=xi_hat.bias, cal=xi_hat.cal)
-    belief = initialize(base, np.zeros((24, 24)))
-
-    def perturbed(phys):
-        pose = SE23.from_components(
-            base.attitude() @ SO3.exp(phys[0:3]),
-            base.velocity() + phys[3:6],
-            base.position() + phys[6:9],
-        )
-        return SystemState(pose=pose, bias=base.bias + phys[9:18],
-                           cal=base.cal @ SE3.exp(phys[18:24]))
-
-    step = 1e-6
+    R, p = xi_hat.attitude(), xi_hat.position()
+    ad_pose = SE23.adjoint(xi_hat.pose)
     G = np.zeros((24, 24))
-    for i in range(24):
-        d = np.zeros(24)
-        d[i] = step
-        plus = error_coordinates(belief.sym, perturbed(d), origin)
-        minus = error_coordinates(belief.sym, perturbed(-d), origin)
-        G[:, i] = (plus - minus) / (2.0 * step)
+    G[0:9, 0:3] = ad_pose[:, 0:3]
+    G[0:9, 3:6] = ad_pose[:, 3:6] @ R.T
+    G[0:9, 6:9] = ad_pose[:, 6:9] @ R.T
+    G[9:18, 9:18] = -ad_pose
+    G[18:21, 0:3] = R
+    G[21:24, 0:3] = skew(p) @ R
+    G[21:24, 6:9] = np.eye(3)
+    G[18:24, 18:24] = SE3.adjoint(xi_hat.radar_pose())
     return G @ np.diag(std**2) @ G.T
 
 
@@ -292,24 +292,24 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
             for lst, val in zip((out_t, out_rot, out_vel, out_pos, out_cov, out_ang), row):
                 lst.append(val)
 
+    last_input, last_time = None, None   # zero-order-held IMU record
     for t, kind, idx in events:
         if kind == 0:
-            u = SystemInput.from_imu(gyro[idx], accel[idx])
-            if belief.last_time is not None and t > belief.last_time:
-                belief = propagate(belief, belief.last_input, t - belief.last_time,
+            if last_time is not None and t > last_time:
+                belief = propagate(belief, last_input, t - last_time,
                                    settings.Q, settings.dt_max, settings.gravity)
-            belief = replace(belief, last_input=u, last_time=t)
+            last_input, last_time = SystemInput.from_imu(gyro[idx], accel[idx]), t
             record(t)
             continue
 
         scan: RadarScan = scans[idx]
-        if belief.last_input is None:
+        if last_input is None:
             continue  # no inertial context yet
-        if t > belief.last_time:
-            belief = propagate(belief, belief.last_input, t - belief.last_time,
+        if t > last_time:
+            belief = propagate(belief, last_input, t - last_time,
                                settings.Q, settings.dt_max, settings.gravity)
-            belief = replace(belief, last_time=t)
-        gyro_now = belief.last_input.gyro
+            last_time = t
+        gyro_now = last_input.gyro
 
         if settings.use_doppler and scan.detections:
             belief = update_doppler(belief, scan.detections, gyro_now,
@@ -390,6 +390,22 @@ def init_std_vector(values: dict, perturb_angle: float = 0.0) -> np.ndarray:
     ])
 
 
+def prepare_run(run_values: dict, imu_rate: float, rot0, vel0, pos0, cal_true,
+                use_msc: bool | None = None):
+    """Settings, initial state and initial covariance of one filter run:
+    the given initial pose, zero biases, and the true extrinsics with the
+    configured calibration perturbation applied.  Returns (settings, xi0,
+    cov0); the CLI and the Monte-Carlo jobs both start a run here."""
+    perturb = parse_perturbation(run_values["perturb.calibration"])
+    settings = settings_from_values(run_values, imu_rate)
+    if use_msc is not None:
+        settings = replace(settings, use_msc=use_msc)
+    xi0 = initial_state_from_truth(rot0, vel0, pos0, cal_true, perturb)
+    cov0 = initial_covariance(xi0, init_std_vector(run_values,
+                                                   float(np.linalg.norm(perturb))))
+    return settings, xi0, cov0
+
+
 def simulate_and_run(spec: TrajectorySpec, config: SimConfig, run_values: dict,
                      use_msc: bool | None = None):
     """In-memory simulate plus filter run; returns (sim, result, pair).
@@ -399,14 +415,9 @@ def simulate_and_run(spec: TrajectorySpec, config: SimConfig, run_values: dict,
     run configuration.
     """
     sim = run_simulation(spec, config)
-    perturb = parse_perturbation(run_values["perturb.calibration"])
-    settings = settings_from_values(run_values, config.imu_rate)
-    if use_msc is not None:
-        settings = replace(settings, use_msc=use_msc)
-    xi0 = initial_state_from_truth(sim.rotations[0], sim.velocities[0],
-                                   sim.positions[0], config.extrinsics(), perturb)
-    cov0 = initial_covariance(xi0, init_std_vector(run_values,
-                                                   float(np.linalg.norm(perturb))))
+    settings, xi0, cov0 = prepare_run(run_values, config.imu_rate, sim.rotations[0],
+                                      sim.velocities[0], sim.positions[0],
+                                      config.extrinsics(), use_msc)
     result = run_filter(sim.times, sim.imu_gyro, sim.imu_accel, sim.scans,
                         xi0, cov0, settings,
                         cal_rot_truth=config.extrinsics()[0:3, 0:3])

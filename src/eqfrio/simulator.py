@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lie import SE3, SE23, SO3
-from .measurements import RadarDetection, apply_spherical_noise, doppler_model
+from .measurements import RadarDetection, RadarScan, apply_spherical_noise, doppler_model
 from .symmetry import GRAVITY, SystemInput, SystemState, discrete_dynamics
 
 
@@ -130,10 +130,6 @@ class TrajectorySampler:
                                     self.position(t))
 
 
-def generate_trajectory(spec: TrajectorySpec) -> TrajectorySampler:
-    return TrajectorySampler(spec)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     imu_rate: float = 200.0
@@ -165,13 +161,6 @@ class SimConfig:
     def extrinsics(self) -> np.ndarray:
         return SE3.from_components(SO3.exp(np.asarray(self.cal_rot, dtype=float)),
                                    np.asarray(self.cal_pos, dtype=float))
-
-
-@dataclass(frozen=True)
-class RadarScan:
-    stamp: float
-    scan_id: int
-    detections: tuple
 
 
 @dataclass(frozen=True)
@@ -246,7 +235,7 @@ def synthesize_radar_scan(state: SystemState, gyro, landmarks, config: SimConfig
 def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
     """Full dataset generation, deterministic for a given seed."""
     rng = np.random.default_rng(config.seed)
-    sampler = generate_trajectory(spec)
+    sampler = TrajectorySampler(spec)
     dt = 1.0 / config.imu_rate
     n = int(round(spec.duration * config.imu_rate)) + 1
     stride = max(int(round(config.imu_rate / config.radar_rate)), 1)

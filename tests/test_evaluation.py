@@ -18,6 +18,8 @@ from eqfrio.evaluation import (
     trajectory_length,
 )
 from eqfrio.lie import SO3
+from eqfrio.pipeline import RUN_SCHEMA, simulate_and_run
+from eqfrio.simulator import SimConfig, TrajectorySpec
 from helpers import random_rotation
 
 
@@ -199,6 +201,26 @@ def test_calibration_error_values():
     assert np.isclose(calibration_error(S, S_hat), 1.3963, atol=1e-4)
     assert np.isclose(calibration_error(S, S_hat),
                       calibration_error(S_hat, S))
+
+
+def test_calibration_error_half_turn():
+    # the log is undefined at pi; the metric must not go through it, and a
+    # run started half a turn off must complete
+    rng = np.random.default_rng(130)
+    S = random_rotation(rng)
+    assert calibration_error(S, S @ np.diag([-1.0, 1.0, -1.0])) == pytest.approx(
+        np.pi, abs=1e-12)
+
+    values = {k: v for k, (_, v) in RUN_SCHEMA.items()}
+    values.update({"radar.sigma_range": 0.05, "radar.sigma_bearing": np.deg2rad(0.5),
+                   "radar.sigma_doppler": 0.05, "perturb.calibration": "y:180deg"})
+    config = SimConfig(imu_rate=100.0, range_noise=0.05,
+                       bearing_noise=np.deg2rad(0.5), doppler_noise=0.05, seed=3)
+    sim, result, _ = simulate_and_run(TrajectorySpec.excited(2.0), config, values)
+    assert len(result.times) == len(sim.times)
+    assert result.e_angle[0] == pytest.approx(np.pi, abs=1e-12)
+    assert np.all(np.isfinite(result.e_angle))
+    assert np.all(np.isfinite(result.est_pos))
 
 
 def test_classify_convergence():

@@ -24,10 +24,10 @@ from eqfrio.measurements import (
     MatchObservation,
     RadarDetection,
     doppler_model,
-    doppler_noise_matrix,
-    doppler_output_matrix,
+    doppler_rows,
     point_constraint_model,
 )
+from eqfrio.pipeline import initial_covariance
 from eqfrio.symmetry import (
     SymmetryElement,
     SystemInput,
@@ -270,8 +270,7 @@ def test_update_doppler_matches_dense_oracle():
 
     u0 = input_action(group_inverse(belief.sym),
                       SystemInput.from_imu(gyro, np.zeros(3)))
-    C = doppler_output_matrix(belief.sym, u0.gyro, point)[None, :]
-    D = doppler_noise_matrix(belief.sym, u0.gyro, point)[None, :]
+    C, D = (row[None, :] for row in doppler_rows(belief.sym, u0.gyro, point))
     S = C @ belief.cov @ C.T + D @ spec.cov() @ D.T
     K = belief.cov @ C.T @ dense_inv(S)
     r = np.array([meas - doppler_model(xi, point, gyro)])
@@ -342,10 +341,34 @@ def test_augment_marginal_matches_linearized_radar_pose_cov():
     belief = random_belief(rng, scale=0.05)
     out = clone_augment(belief, 1.0, set())
     # in these error coordinates the new clone error equals the extrinsic
-    # error exactly, so the marginal must copy that block
-    expected = belief.cov[18:24, 18:24]
-    assert_close(out.cov[24:30, 24:30], expected, 1e-6, "clone marginal")
-    assert_close(out.cov[24:30, 0:24], belief.cov[18:24, :], 1e-6, "clone cross")
+    # error exactly, so the clone's blocks are copies of the extrinsic ones
+    assert np.array_equal(out.cov[24:30, 24:30], belief.cov[18:24, 18:24])
+    assert np.array_equal(out.cov[24:30, 0:24], belief.cov[18:24, :])
+
+
+def test_initial_covariance_matches_chart_finite_difference():
+    # reference: central differences of the chart's error coordinates under
+    # the physical perturbations that initial_covariance transports
+    rng = np.random.default_rng(102)
+    origin = identity_state()
+    for _ in range(10):
+        xi = SystemState(pose=random_element(rng, SE23, rot_scale=2.5, lin_scale=3.0),
+                         bias=rng.standard_normal(9),
+                         cal=random_element(rng, SE3, rot_scale=2.5))
+        X_hat = initialize(xi, np.zeros((24, 24))).sym
+
+        def chart(phys, xi=xi, X_hat=X_hat):
+            pose = SE23.from_components(xi.attitude() @ SO3.exp(phys[0:3]),
+                                        xi.velocity() + phys[3:6],
+                                        xi.position() + phys[6:9])
+            perturbed = SystemState(pose=pose, bias=xi.bias + phys[9:18],
+                                    cal=xi.cal @ SE3.exp(phys[18:24]))
+            return error_coordinates(X_hat, perturbed, origin)
+
+        G = central_difference(chart, np.zeros(24))
+        std = rng.uniform(0.01, 1.0, 24)
+        assert_close(initial_covariance(xi, std), G @ np.diag(std**2) @ G.T, 1e-8,
+                     "initial covariance")
 
 
 def test_augment_window_full():

@@ -18,8 +18,7 @@ from eqfrio.io import (
     write_imu_csv,
     write_radar_csv,
 )
-from eqfrio.measurements import RadarDetection
-from eqfrio.simulator import RadarScan
+from eqfrio.measurements import RadarDetection, RadarScan
 from helpers import random_rotation
 
 

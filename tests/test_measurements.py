@@ -9,11 +9,9 @@ from eqfrio.measurements import (
     DopplerNoiseSpec,
     apply_spherical_noise,
     doppler_model,
-    doppler_noise_matrix,
-    doppler_output_matrix,
+    doppler_rows,
     point_constraint_model,
-    point_noise_matrix,
-    point_output_matrix,
+    point_rows,
 )
 from eqfrio.symmetry import (
     SystemInput,
@@ -100,7 +98,7 @@ def test_doppler_output_matrix_finite_difference(k):
         point = rng.standard_normal(3) * 3.0
         if np.linalg.norm(point) < 0.3:
             continue
-        row = doppler_output_matrix(X_hat, origin_gyro_of(X_hat, gyro), point)
+        row = doppler_rows(X_hat, origin_gyro_of(X_hat, gyro), point)[0]
 
         def h(eps):
             return doppler_model(state_of_error(eps, X_hat, origin), point, gyro)
@@ -113,7 +111,7 @@ def test_doppler_output_matrix_zero_origin_gyro():
     rng = np.random.default_rng(63)
     X_hat = random_group(rng)
     point = np.array([2.0, -1.0, 0.5])
-    row = doppler_output_matrix(X_hat, np.zeros(3), point)
+    row = doppler_rows(X_hat, np.zeros(3), point)[0]
     _, a, _ = SE23.components(X_hat.nav)
     E, _ = SE3.components(X_hat.cal)
     psi = -(E @ (point / np.linalg.norm(point)))
@@ -126,8 +124,8 @@ def test_doppler_output_matrix_zero_origin_gyro():
 def test_doppler_output_matrix_clone_columns_zero():
     rng = np.random.default_rng(64)
     X_hat = random_group(rng, 3)
-    row = doppler_output_matrix(X_hat, rng.standard_normal(3),
-                                rng.standard_normal(3) + 2.0)
+    row = doppler_rows(X_hat, rng.standard_normal(3),
+                       rng.standard_normal(3) + 2.0)[0]
     assert np.allclose(row[24:], 0.0)
 
 
@@ -135,8 +133,8 @@ def test_doppler_noise_matrix_trailing_one():
     rng = np.random.default_rng(65)
     for _ in range(50):
         X_hat = random_group(rng)
-        row = doppler_noise_matrix(X_hat, rng.standard_normal(3),
-                                   rng.standard_normal(3) + 2.0)
+        row = doppler_rows(X_hat, rng.standard_normal(3),
+                           rng.standard_normal(3) + 2.0)[1]
         assert row[6] == 1.0
 
 
@@ -150,7 +148,7 @@ def test_doppler_noise_matrix_finite_difference():
         if np.linalg.norm(point) < 0.3:
             continue
         xi_hat = state_action(X_hat, origin)
-        row = doppler_noise_matrix(X_hat, origin_gyro_of(X_hat, gyro), point)
+        row = doppler_rows(X_hat, origin_gyro_of(X_hat, gyro), point)[1]
 
         def residual(zeta):
             perturbed = apply_spherical_noise(point, zeta[3:6])
@@ -164,8 +162,8 @@ def test_doppler_noise_matrix_no_lever_no_gyro_block():
     # with the calibration transport at identity and no nav offset the lever
     # arm vanishes and gyro noise cannot enter
     X_hat = group_identity(0)
-    row = doppler_noise_matrix(X_hat, np.array([0.3, -0.1, 0.2]),
-                               np.array([1.0, 2.0, -1.0]))
+    row = doppler_rows(X_hat, np.array([0.3, -0.1, 0.2]),
+                       np.array([1.0, 2.0, -1.0]))[1]
     assert np.allclose(row[0:3], 0.0, atol=1e-14)
 
 
@@ -223,7 +221,7 @@ def test_point_output_matrix_finite_difference(k):
         point = rng.standard_normal(3) * 3.0
         if np.linalg.norm(point) < 0.3:
             continue
-        row = point_output_matrix(X_hat, idx, point)
+        row = point_rows(X_hat, idx, point)[0]
 
         def h(eps):
             return point_constraint_model(state_of_error(eps, X_hat, origin),
@@ -236,7 +234,7 @@ def test_point_output_matrix_finite_difference(k):
 def test_point_output_matrix_block_structure():
     rng = np.random.default_rng(71)
     X_hat = random_group(rng, 1)
-    row = point_output_matrix(X_hat, 0, np.array([1.0, 2.0, 3.0]))
+    row = point_rows(X_hat, 0, np.array([1.0, 2.0, 3.0]))[0]
     assert np.allclose(row[0:18], 0.0)
     blocks = [row[18:21], row[21:24], row[24:27], row[27:30]]
     assert all(np.linalg.norm(b) > 1e-12 for b in blocks)
@@ -245,7 +243,7 @@ def test_point_output_matrix_block_structure():
 def test_point_output_matrix_uninvolved_clones_zero():
     rng = np.random.default_rng(72)
     X_hat = random_group(rng, 3)
-    row = point_output_matrix(X_hat, 1, np.array([1.0, 2.0, 3.0]))
+    row = point_rows(X_hat, 1, np.array([1.0, 2.0, 3.0]))[0]
     assert np.allclose(row[24:30], 0.0)
     assert np.allclose(row[36:42], 0.0)
     assert np.linalg.norm(row[30:36]) > 1e-12
@@ -254,7 +252,7 @@ def test_point_output_matrix_uninvolved_clones_zero():
 def test_point_noise_matrix_structure():
     rng = np.random.default_rng(73)
     X_hat = random_group(rng, 2)
-    row = point_noise_matrix(X_hat, 0, np.array([2.0, 0.3, -1.0]))
+    row = point_rows(X_hat, 0, np.array([2.0, 0.3, -1.0]))[1]
     assert row[0] == 1.0
     assert np.allclose(row[1:3], 0.0)
 
@@ -269,7 +267,7 @@ def test_point_noise_matrix_finite_difference():
         p_then = rng.standard_normal(3) * 3.0
         if min(np.linalg.norm(p_now), np.linalg.norm(p_then)) < 0.3:
             continue
-        row = point_noise_matrix(X_hat, 0, p_then)
+        row = point_rows(X_hat, 0, p_then)[1]
 
         def residual(zeta):
             now = apply_spherical_noise(p_now, zeta[0:3])

@@ -9,8 +9,8 @@ from eqfrio.lie import SE3, SO3, skew
 from eqfrio.measurements import doppler_model
 from eqfrio.simulator import (
     SimConfig,
+    TrajectorySampler,
     TrajectorySpec,
-    generate_trajectory,
     run_simulation,
     synthesize_imu,
     synthesize_radar_scan,
@@ -25,7 +25,7 @@ from eqfrio.symmetry import (
 
 
 def test_hover_is_static():
-    sampler = generate_trajectory(TrajectorySpec.hover(5.0))
+    sampler = TrajectorySampler(TrajectorySpec.hover(5.0))
     for t in [0.0, 1.7, 4.2]:
         assert np.allclose(sampler.velocity(t), 0.0)
         assert np.allclose(sampler.body_rates(t), 0.0)
@@ -33,7 +33,7 @@ def test_hover_is_static():
 
 
 def test_velocity_matches_position_derivative():
-    sampler = generate_trajectory(TrajectorySpec.excited(10.0))
+    sampler = TrajectorySampler(TrajectorySpec.excited(10.0))
     h = 1e-5
     for t in np.linspace(0.5, 9.5, 7):
         fd = (sampler.position(t + h) - sampler.position(t - h)) / (2 * h)
@@ -43,7 +43,7 @@ def test_velocity_matches_position_derivative():
 
 
 def test_body_rates_match_attitude_derivative():
-    sampler = generate_trajectory(TrajectorySpec.excited(10.0))
+    sampler = TrajectorySampler(TrajectorySpec.excited(10.0))
     h = 1e-6
     for t in np.linspace(0.5, 9.5, 7):
         R = sampler.attitude(t)
@@ -53,7 +53,7 @@ def test_body_rates_match_attitude_derivative():
 
 
 def test_excited_preset_exercises_all_axes():
-    sampler = generate_trajectory(TrajectorySpec.excited(30.0))
+    sampler = TrajectorySampler(TrajectorySpec.excited(30.0))
     ts = np.linspace(0.0, 30.0, 600)
     angles = np.array([sampler._angles(t)[0:3] for t in ts])
     excursions = angles.max(axis=0) - angles.min(axis=0)
@@ -61,7 +61,7 @@ def test_excited_preset_exercises_all_axes():
 
 
 def test_imu_hover_measures_gravity_reaction():
-    sampler = generate_trajectory(TrajectorySpec.hover(2.0))
+    sampler = TrajectorySampler(TrajectorySpec.hover(2.0))
     gyro, accel = synthesize_imu(sampler, 1.0)
     assert np.allclose(gyro, 0.0)
     assert np.allclose(accel, [0.0, 0.0, 9.81])
@@ -70,7 +70,7 @@ def test_imu_hover_measures_gravity_reaction():
 def test_imu_closed_loop_defect_is_second_order():
     # zero-order-hold propagation of the sampled analytic motion has a
     # one-step defect that shrinks ~4x when the step halves
-    sampler = generate_trajectory(TrajectorySpec.excited(10.0))
+    sampler = TrajectorySampler(TrajectorySpec.excited(10.0))
     t0 = 2.3
 
     def one_step_defect(dt):

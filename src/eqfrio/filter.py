@@ -19,15 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lie import (
-    SE3,
-    SE23,
-    Gal3,
-    drop_time_block,
-    drop_time_row,
-    project_group,
-    select_rot_pos_rows,
-)
+from .lie import SE3, SE23, Gal3, project_group
 from .measurements import (
     DopplerNoiseSpec,
     doppler_model,
@@ -152,9 +144,10 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
     input_exp = Gal3.exp(dt * origin_input.nav)
     input_jl = Gal3.left_jacobian(dt * origin_input.nav)
 
-    gamma = drop_time_block(grav_adj)
-    upsilon = drop_time_block(Gal3.adjoint(input_exp))
-    a1 = gamma @ drop_time_block(input_jl) * dt
+    rot_pos = np.r_[0:3, 6:9]     # the (rotation, position) rows of a nav block
+    gamma = grav_adj[0:9, 0:9]
+    upsilon = Gal3.adjoint(input_exp)[0:9, 0:9]
+    a1 = gamma @ input_jl[0:9, 0:9] * dt
     a2 = SE3.adjoint(project_group(Gal3, SE3, grav_exp @ input_exp))
 
     dof = 24 + 6 * k
@@ -162,19 +155,17 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
     A[0:9, 0:9] = gamma
     A[0:9, 9:18] = a1
     A[9:18, 9:18] = gamma @ upsilon
-    A[18:24, 0:9] = select_rot_pos_rows(gamma - gamma @ upsilon)
-    A[18:24, 9:18] = select_rot_pos_rows(a1)
+    A[18:24, 0:9] = (gamma - gamma @ upsilon)[rot_pos]
+    A[18:24, 9:18] = a1[rot_pos]
     A[18:24, 18:24] = a2
 
-    b1 = drop_time_row(
-        -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav))) * dt
-    )
+    b1 = -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav)))[0:9] * dt
     b2 = -a2 @ SE3.left_jacobian(dt * origin_input.mu) @ SE3.adjoint(X.cal) * dt
 
     B = np.zeros((dof, 25))
     B[0:9, 0:10] = b1
     B[9:18, 10:19] = gamma @ upsilon @ SE23.adjoint(X.nav) * dt
-    B[18:24, 0:10] = select_rot_pos_rows(b1)
+    B[18:24, 0:10] = b1[rot_pos]
     B[18:24, 19:25] = b2
     return A, B
 
@@ -233,15 +224,12 @@ def update_doppler(belief: FilterBelief, detections, gyro,
     xi_hat = estimated_state(belief)
     origin_input = input_action(group_inverse(belief.sym),
                                 SystemInput.from_imu(gyro, np.zeros(3)))
-    R7 = noise.cov()
-    rows, residuals, noise_diag = [], [], []
-    for det in detections:
-        row, d = doppler_rows(belief.sym, origin_input.gyro, det.point)
-        rows.append(row)
-        residuals.append(det.doppler - doppler_model(xi_hat, det.point, gyro))
-        noise_diag.append(float(d @ R7 @ d))
-    return _apply_update(belief, np.array(rows), np.array(residuals),
-                         np.array(noise_diag), gate)
+    points = np.array([det.point for det in detections])
+    measured = np.array([det.doppler for det in detections])
+    C, D = doppler_rows(belief.sym, origin_input.gyro, points)
+    residuals = measured - doppler_model(xi_hat, points, gyro)
+    noise_diag = np.einsum("ij,jk,ik->i", D, noise.cov(), D)
+    return _apply_update(belief, C, residuals, noise_diag, gate)
 
 
 def update_msc(belief: FilterBelief, matches, noise: DopplerNoiseSpec,
@@ -251,18 +239,13 @@ def update_msc(belief: FilterBelief, matches, noise: DopplerNoiseSpec,
     if not matches:
         raise ValueError("no matches")
     xi_hat = estimated_state(belief)
-    R6 = noise.point_pair_cov()
-    rows, residuals, noise_diag = [], [], []
-    for m in matches:
-        if not 0 <= m.clone_index < belief.n_clones:
-            raise ValueError(f"invalid clone index {m.clone_index}")
-        row, d = point_rows(belief.sym, m.clone_index, m.point_then)
-        rows.append(row)
-        predicted = point_constraint_model(xi_hat, m.clone_index, m.point_then)
-        residuals.append(np.linalg.norm(m.point_now) - predicted)
-        noise_diag.append(float(d @ R6 @ d))
-    return _apply_update(belief, np.array(rows), np.array(residuals),
-                         np.array(noise_diag), gate)
+    index = np.array([m.clone_index for m in matches])
+    now = np.array([m.point_now for m in matches])
+    then = np.array([m.point_then for m in matches])
+    C, D = point_rows(belief.sym, index, then)
+    residuals = np.linalg.norm(now, axis=-1) - point_constraint_model(xi_hat, index, then)
+    noise_diag = np.einsum("ij,jk,ik->i", D, noise.point_pair_cov(), D)
+    return _apply_update(belief, C, residuals, noise_diag, gate)
 
 
 def clone_augment(belief: FilterBelief, stamp: float, feature_ids,

@@ -20,6 +20,7 @@ their line number.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,9 +89,12 @@ def _read_csv(path, expected_header):
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     return np.asarray(rows, dtype=float).reshape(-1, len(expected_header))
 
 

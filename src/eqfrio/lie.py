@@ -32,8 +32,6 @@ KAPPA_MIN = 1e-6
 _SERIES_CUTOFF = 1e-14
 _SERIES_MAX_TERMS = 30
 
-_E1 = np.array([1.0, 0.0, 0.0])
-_E3 = np.array([0.0, 0.0, 1.0])
 _ID3 = np.eye(3)
 _ID4 = np.eye(4)
 _ID5 = np.eye(5)
@@ -203,7 +201,7 @@ class SO3:
 
     @staticmethod
     def left_jacobian(v) -> np.ndarray:
-        return _left_jacobian_stable(SO3, _check_coords("so3", v, 3))
+        return _so3_left_jacobian(_check_coords("so3", v, 3))
 
 
 class SE3:
@@ -604,32 +602,6 @@ def project_algebra(src, dst, u) -> np.ndarray:
         raise ValueError(f"unsupported algebra projection {src.__name__} -> {dst.__name__}")
 
 
-# --- row/block selections used by the propagation matrices ------------------
-
-def select_rot_pos_rows(M) -> np.ndarray:
-    """From a (3+3+3)-row stack keep the first and last 3-row blocks."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != 9:
-        raise ValueError(f"expected 9 rows, got {M.shape}")
-    return np.vstack([M[0:3], M[6:9]])
-
-
-def drop_time_block(M) -> np.ndarray:
-    """Strip the time row and column of a 10x10 matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (10, 10):
-        raise ValueError(f"expected a 10x10 matrix, got {M.shape}")
-    return M[0:9, 0:9].copy()
-
-
-def drop_time_row(M) -> np.ndarray:
-    """Strip the time row of a 10x10 matrix, keeping all 10 columns."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (10, 10):
-        raise ValueError(f"expected a 10x10 matrix, got {M.shape}")
-    return M[0:9, :].copy()
-
-
 # --- R x S^2 operators ------------------------------------------------------
 
 class SphericalPoint(NamedTuple):
@@ -650,28 +622,48 @@ def sphere_compose(sp: SphericalPoint) -> np.ndarray:
 
 
 def sphere_basis(rho) -> np.ndarray:
-    """Orthonormal 3x2 basis of the tangent plane at rho, transported from
-    the plane at e3.  At rho = -e3 the frame is rotated about e1 by pi; the
-    chart need not be continuous, only orthonormal."""
+    """Orthonormal (..., 3, 2) basis of the tangent plane at each unit bearing
+    rho of shape (..., 3): the first two columns of the rotation about
+    e3 x rho that takes e3 to rho.  With s = |(rho_x, rho_y)|,
+    n = (rho_x, rho_y) / s and k = 1 - rho_z (so sin = s, 1 - cos = k) this
+    is Rodrigues' formula in closed form, stable up to -e3.  On the e3 axis
+    n is taken as e2, which gives the identity at e3 and the half turn about
+    e1 at -e3; the chart need not be continuous there, only orthonormal.
+    The columns (t1, t2) and rho form a right-handed frame."""
     rho = np.asarray(rho, dtype=float)
-    axis = np.cross(_E3, rho)
-    s = np.linalg.norm(axis)
-    c = float(_E3 @ rho)
-    if s < 1e-12:
-        R = np.eye(3) if c > 0.0 else SO3.exp(np.pi * _E1)
-    else:
-        R = SO3.exp((axis / s) * np.arctan2(s, c))
-    return R[:, 0:2].copy()
+    x, y = rho[..., 0], rho[..., 1]
+    s = np.hypot(x, y)
+    # n is exact to rounding for any normal s; a wider axis band would tilt
+    # t1 off the tangent plane by up to 2 s near -e3
+    on_axis = s < np.finfo(float).tiny
+    s = np.where(on_axis, 1.0, s)
+    n1 = np.where(on_axis, 0.0, x / s)
+    n2 = np.where(on_axis, 1.0, y / s)
+    k = 1.0 - rho[..., 2]
+    N = np.empty(rho.shape + (2,))
+    N[..., 0, 0] = 1.0 - k * n1 * n1
+    N[..., 1, 0] = N[..., 0, 1] = -k * n1 * n2
+    N[..., 2, 0] = -x
+    N[..., 1, 1] = 1.0 - k * n2 * n2
+    N[..., 2, 1] = -y
+    return N
 
 
 def sphere_jacobian(p) -> np.ndarray:
-    """3x3 derivative of the range/bearing retraction at zero perturbation:
-    first column is the bearing, the rest span range-scaled bearing motion."""
-    sp = sphere_decompose(p)
-    N = sphere_basis(sp.rho)
-    J = np.zeros((3, 3))
-    J[:, 0] = sp.rho
-    J[:, 1:3] = -sp.kappa * skew(sp.rho) @ N
+    """(..., 3, 3) derivative of the range/bearing retraction at zero
+    perturbation for points p of shape (..., 3): first column is the bearing,
+    the rest are -kappa skew(rho) N = kappa (-t2, t1), range-scaled bearing
+    motion."""
+    p = np.asarray(p, dtype=float)
+    kappa = np.linalg.norm(p, axis=-1)[..., None]
+    if (kappa <= KAPPA_MIN).any():
+        raise ValueError("degenerate point: range below minimum")
+    rho = p / kappa
+    N = sphere_basis(rho)
+    J = np.empty(p.shape + (3,))
+    J[..., 0] = rho
+    J[..., 1] = -kappa * N[..., 1]
+    J[..., 2] = kappa * N[..., 0]
     return J
 
 

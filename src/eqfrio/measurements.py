@@ -15,7 +15,6 @@ form, which matches how radar uncertainty actually behaves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,102 +83,105 @@ class MatchObservation:
     point_then: np.ndarray
 
 
-def doppler_model(xi: SystemState, point, gyro) -> float:
-    """Predicted Doppler speed of a return at `point` (radar frame) given the
-    raw gyro sample; a static world and rigid sensor mount are assumed."""
+def doppler_model(xi: SystemState, point, gyro):
+    """Predicted Doppler speed of returns at `point` (radar frame, shape
+    (..., 3)) given the raw gyro sample; a static world and rigid sensor
+    mount are assumed.  A single point gives a float."""
     point = np.asarray(point, dtype=float)
-    rng = math.sqrt(point @ point)
-    if rng <= 1e-6:
+    rng = np.linalg.norm(point, axis=-1)
+    if (rng <= 1e-6).any():
         raise ValueError("degenerate point: range below minimum")
     S, t = SE3.components(xi.cal)
     R = xi.attitude()
     omega = np.asarray(gyro, dtype=float) - xi.bias[0:3]
     sensor_vel = S.T @ (R.T @ xi.velocity() + skew(omega) @ t)
-    return float(-(point @ sensor_vel) / rng)
-
-
-def _doppler_blocks(X: SymmetryElement, origin_gyro, point):
-    """Shared pieces of the Doppler rows, all in group coordinates."""
-    point = np.asarray(point, dtype=float)
-    rng = math.sqrt(point @ point)
-    A, a, b = SE23.components(X.nav)
-    E, f = SE3.components(X.cal)
-    psi = -(E @ (point / rng))            # row vector of the velocity block
-    lever = f - b
-    omega = skew(np.asarray(origin_gyro, dtype=float))
-    return point, rng, A, a, E, f, psi, lever, omega
+    speed = -(point @ sensor_vel) / rng
+    return float(speed) if speed.ndim == 0 else speed
 
 
 def doppler_rows(X: SymmetryElement, origin_gyro, point):
-    """Output row (error coordinates) and noise row (gyro sample, point
-    range/bearing, direct Doppler) of one Doppler return, sharing the common
-    blocks.  `origin_gyro` is the gyro sample transported through the inverse
-    input action of the current estimate.  Clone columns are zero: the
-    Doppler output involves no past pose."""
-    point, rng, A, a, E, f, psi, lever, omega = _doppler_blocks(
-        X, origin_gyro, point
-    )
-    row = np.zeros(24 + 6 * X.n_clones)
+    """Output rows (error coordinates) and noise rows (gyro sample, point
+    range/bearing, direct Doppler) of Doppler returns at `point` of shape
+    (..., 3); one point gives one row of each.  `origin_gyro` is the gyro
+    sample transported through the inverse input action of the current
+    estimate.  Clone columns are zero: the Doppler output involves no past
+    pose."""
+    point = np.asarray(point, dtype=float)
+    rng = np.linalg.norm(point, axis=-1)[..., None]
+    A, a, b = SE23.components(X.nav)
+    E, f = SE3.components(X.cal)
+    psi = -(point / rng) @ E.T            # velocity block of each row
+    lever = f - b
+    omega = skew(np.asarray(origin_gyro, dtype=float))
+    lead = point.shape[:-1]
+
+    row = np.zeros(lead + (24 + 6 * X.n_clones,))
     c1 = psi @ (omega @ skew(f) - skew(a + omega @ lever))
     c2 = -(psi @ omega)
-    row[0:3] = c1
-    row[3:6] = psi
-    row[6:9] = c2
-    row[9:12] = -(psi @ skew(lever))
-    row[18:21] = -c1
-    row[21:24] = -c2
+    row[..., 0:3] = c1
+    row[..., 3:6] = psi
+    row[..., 6:9] = c2
+    row[..., 9:12] = -(psi @ skew(lever))
+    row[..., 18:21] = -c1
+    row[..., 21:24] = -c2
 
-    noise = np.zeros(7)
-    noise[0:3] = psi @ skew(lever) @ A
+    noise = np.zeros(lead + (7,))
+    noise[..., 0:3] = psi @ skew(lever) @ A
     grad = E.T @ (a + omega @ lever)
-    tangential = grad - (point @ grad) / rng**2 * point
-    noise[3:6] = (tangential @ sphere_jacobian(point)) / rng
-    noise[6] = 1.0
+    tangential = grad - (point @ grad)[..., None] / rng**2 * point
+    noise[..., 3:6] = np.einsum("...i,...ij->...j", tangential,
+                                sphere_jacobian(point)) / rng
+    noise[..., 6] = 1.0
     return row, noise
 
 
-def point_constraint_model(xi: SystemState, clone_index: int, point_then) -> float:
-    """Range of a past observation re-expressed in the current radar frame."""
-    if not 0 <= clone_index < xi.n_clones:
+def point_constraint_model(xi: SystemState, clone_index, point_then):
+    """Range of past observations (shape (..., 3), taken at the clones
+    `clone_index`, an int or an int array) re-expressed in the current
+    radar frame.  A single point gives a float."""
+    index = np.asarray(clone_index)
+    if ((index < 0) | (index >= xi.n_clones)).any():
         raise ValueError(f"invalid clone index {clone_index}")
-    world = SE3.apply(xi.clones[clone_index], point_then)
-    local = SE3.apply(SE3.inverse(xi.radar_pose()), world)
-    return float(math.sqrt(local @ local))
-
-
-def _point_blocks(X: SymmetryElement, clone_index: int, point_then):
-    if not 0 <= clone_index < X.n_clones:
-        raise ValueError(f"invalid clone index {clone_index}")
-    E, f = SE3.components(X.cal)
-    Fi = X.clones[clone_index]
-    Ei, _ = SE3.components(Fi)
-    y = SE3.apply(Fi, point_then)                      # clone image of the point
-    q = SE3.apply(SE3.inverse(X.cal), y)               # in the current radar frame
-    h_vec = E @ (q / math.sqrt(q @ q))
-    return Ei, y, h_vec
-
-
-def point_rows(X: SymmetryElement, clone_index: int, point_then):
-    """Output row and noise row of one re-observation, sharing the common
-    blocks.  Only the extrinsic and the matched clone blocks of the output
-    row are populated; navigation and bias errors cancel exactly in these
-    coordinates.  The noise row covers the range/bearing noise of the
-    current point (first three entries) and the past point (last three); the
-    current point enters only through its norm, so only its range entry
-    survives."""
+    F = np.asarray(xi.clones)[index]
     point_then = np.asarray(point_then, dtype=float)
-    Ei, y, h_vec = _point_blocks(X, clone_index, point_then)
-    row = np.zeros(24 + 6 * X.n_clones)
-    c1 = h_vec @ skew(y)
-    row[18:21] = c1
-    row[21:24] = -h_vec
-    base = 24 + 6 * clone_index
-    row[base : base + 3] = -c1
-    row[base + 3 : base + 6] = h_vec
+    world = (F[..., 0:3, 0:3] @ point_then[..., None])[..., 0] + F[..., 0:3, 3]
+    # a rigid motion keeps lengths, so only the current radar origin matters
+    rng = np.linalg.norm(world - xi.radar_pose()[0:3, 3], axis=-1)
+    return float(rng) if rng.ndim == 0 else rng
 
-    noise = np.zeros(6)
-    noise[0] = 1.0
-    noise[3:6] = -(h_vec @ Ei @ sphere_jacobian(point_then))
+
+def point_rows(X: SymmetryElement, clone_index, point_then):
+    """Output rows and noise rows of re-observations of `point_then` (shape
+    (..., 3)) against the clones `clone_index` (an int or an int array); one
+    point gives one row of each.  Only the extrinsic and the matched clone
+    blocks of an output row are populated; navigation and bias errors cancel
+    exactly in these coordinates.  The noise row covers the range/bearing
+    noise of the current point (first three entries) and the past point
+    (last three); the current point enters only through its norm, so only
+    its range entry survives."""
+    point_then = np.asarray(point_then, dtype=float)
+    lead = point_then.shape[:-1]
+    index = np.broadcast_to(clone_index, lead)
+    if ((index < 0) | (index >= X.n_clones)).any():
+        raise ValueError(f"invalid clone index {clone_index}")
+    _, f = SE3.components(X.cal)
+    F = np.asarray(X.clones)[index]
+    Ei = F[..., 0:3, 0:3]
+    y = (Ei @ point_then[..., None])[..., 0] + F[..., 0:3, 3]   # clone image
+    h_vec = y - f                         # from the current radar origin to y
+    h_vec /= np.linalg.norm(h_vec, axis=-1)[..., None]
+
+    row = np.zeros(lead + (24 + 6 * X.n_clones,))
+    c1 = h_vec @ skew(f)                  # = h_vec @ skew(y), as h_vec x (y - f) = 0
+    row[..., 18:21] = c1
+    row[..., 21:24] = -h_vec
+    clone_cols = (24 + 6 * index)[..., None] + np.arange(6)
+    np.put_along_axis(row, clone_cols, np.concatenate([-c1, h_vec], axis=-1), axis=-1)
+
+    noise = np.zeros(lead + (6,))
+    noise[..., 0] = 1.0
+    noise[..., 3:6] = -np.einsum("...i,...ij,...jk->...k", h_vec, Ei,
+                                 sphere_jacobian(point_then))
     return row, noise
 
 

@@ -106,6 +106,17 @@ def test_csv_header_mismatch(tmp_path):
         read_imu_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_names_file_and_line(tmp_path, value):
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, np.array([0.0, 0.1, 0.2]), np.zeros((3, 3)), np.ones((3, 3)))
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"imu\.csv:3: non-finite"):
+        read_imu_csv(path)
+
+
 def test_kv_parser_happy_path():
     schema = {"a.x": ("float", 1.0), "a.flag": ("bool", False),
               "name": ("str", "none"), "vec": ("vec3", (0.0, 0.0, 0.0)),

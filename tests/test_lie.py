@@ -12,11 +12,8 @@ from eqfrio.lie import (
     SO3,
     Gal3,
     TangentSE23,
-    drop_time_block,
-    drop_time_row,
     project_algebra,
     project_group,
-    select_rot_pos_rows,
     skew,
 )
 from helpers import (
@@ -380,15 +377,3 @@ def test_gal3_exp_projection_compatibility():
         lifted = Gal3.exp(project_algebra(SE23, Gal3, v))
         assert_close(project_group(Gal3, SE23, lifted), SE23.exp(v), 1e-12,
                      "gal3/se23 exp compatibility")
-
-
-def test_row_selection_maps():
-    M = np.vstack([np.full((3, 4), 1.0), np.full((3, 4), 2.0), np.full((3, 4), 3.0)])
-    out = select_rot_pos_rows(M)
-    assert np.array_equal(out, np.vstack([np.full((3, 4), 1.0), np.full((3, 4), 3.0)]))
-    assert np.array_equal(drop_time_block(np.eye(10)), np.eye(9))
-    assert np.array_equal(drop_time_row(np.eye(10)), np.eye(10)[0:9])
-    with pytest.raises(ValueError):
-        select_rot_pos_rows(np.zeros((8, 2)))
-    with pytest.raises(ValueError):
-        drop_time_block(np.zeros((9, 9)))

@@ -3,6 +3,8 @@ differences through the full error chart."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqfrio.lie import SE3, SE23, SO3
 from eqfrio.measurements import (
@@ -276,6 +278,57 @@ def test_point_noise_matrix_finite_difference():
 
         fd = central_difference(residual, np.zeros(6), step=1e-6).ravel()
         assert_close(row, fd, 1e-5, "point noise row")
+
+
+# --- stacked rows -----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_stacked_rows_and_models_equal_single_point_calls(seed, n):
+    rng = np.random.default_rng(seed)
+    k = 3
+    X_hat = random_group(rng, k)
+    xi_hat = state_action(X_hat, identity_state(k))
+    gyro, origin_gyro = rng.standard_normal(3), rng.standard_normal(3)
+    points = rng.standard_normal((n, 3))
+    points *= (0.5 + 4.0 * rng.random((n, 1))) / np.linalg.norm(points, axis=1,
+                                                                 keepdims=True)
+    index = rng.integers(0, k, size=n)
+
+    C, D = doppler_rows(X_hat, origin_gyro, points)
+    h = doppler_model(xi_hat, points, gyro)
+    Cp, Dp = point_rows(X_hat, index, points)
+    hp = point_constraint_model(xi_hat, index, points)
+    Cs, Ds = point_rows(X_hat, 1, points)            # one clone for the stack
+    assert C.shape == (n, 24 + 6 * k) and D.shape == (n, 7) and h.shape == (n,)
+    assert Cp.shape == (n, 24 + 6 * k) and Dp.shape == (n, 6) and hp.shape == (n,)
+    for i, (p, idx) in enumerate(zip(points, index)):
+        c, d = doppler_rows(X_hat, origin_gyro, p)
+        assert np.abs(C[i] - c).max() <= 1e-13 and np.abs(D[i] - d).max() <= 1e-13
+        assert abs(h[i] - doppler_model(xi_hat, p, gyro)) <= 1e-13
+        c, d = point_rows(X_hat, int(idx), p)
+        assert np.abs(Cp[i] - c).max() <= 1e-13 and np.abs(Dp[i] - d).max() <= 1e-13
+        assert abs(hp[i] - point_constraint_model(xi_hat, int(idx), p)) <= 1e-13
+        c, d = point_rows(X_hat, 1, p)
+        assert np.abs(Cs[i] - c).max() <= 1e-13 and np.abs(Ds[i] - d).max() <= 1e-13
+
+
+def test_single_point_models_return_floats():
+    rng = np.random.default_rng(76)
+    xi = random_state(rng, 2)
+    p = np.array([1.0, -2.0, 0.5])
+    assert type(doppler_model(xi, p, np.zeros(3))) is float
+    assert type(point_constraint_model(xi, 1, p)) is float
+
+
+def test_stacked_point_rows_reject_any_invalid_clone():
+    rng = np.random.default_rng(77)
+    X_hat = random_group(rng, 2)
+    points = np.ones((3, 3))
+    with pytest.raises(ValueError, match="invalid clone index"):
+        point_rows(X_hat, np.array([0, 2, 1]), points)
+    with pytest.raises(ValueError, match="invalid clone index"):
+        point_rows(X_hat, np.array([0, -1, 1]), points)
 
 
 # --- spherical noise --------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eqfrio.lie import (
     SO3,
@@ -55,6 +57,76 @@ def test_basis_orthogonality_random():
         N = sphere_basis(rho)
         assert np.allclose(rho @ N, 0.0, atol=1e-10)
         assert np.allclose(N.T @ N, np.eye(2), atol=1e-10)
+
+
+def _bearing(polar, azimuth):
+    return np.array([np.sin(polar) * np.cos(azimuth),
+                     np.sin(polar) * np.sin(azimuth),
+                     np.cos(polar)])
+
+
+def _assert_right_handed_tangent_frame(rho):
+    N = sphere_basis(rho)
+    assert np.abs(N.T @ N - np.eye(2)).max() <= 1e-12
+    assert np.abs(rho @ N).max() <= 1e-12
+    assert abs(np.linalg.det(np.column_stack([N, rho])) - 1.0) <= 1e-12
+
+
+AZIMUTH = st.floats(-np.pi, np.pi)
+
+
+@pytest.mark.parametrize("rho", [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                 [5e-324, 0.0, -1.0], [8e-13, 0.0, -1.0],
+                                 [-3e-9, 4e-9, 1.0]])
+def test_basis_frame_at_and_next_to_poles(rho):
+    _assert_right_handed_tangent_frame(np.array(rho))
+
+
+# offsets from -e3 up to just inside arccos(0.999) = 0.04472...
+@settings(max_examples=300, deadline=None)
+@given(offset=st.floats(0.0, 0.0447), azimuth=AZIMUTH)
+@example(offset=0.0, azimuth=0.0)
+@example(offset=5e-324, azimuth=1.0)
+@example(offset=1e-12, azimuth=-2.0)
+def test_basis_frame_in_cap_around_negative_pole(offset, azimuth):
+    rho = _bearing(np.pi - offset, azimuth)
+    assert rho[2] < -0.999
+    _assert_right_handed_tangent_frame(rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polar=st.floats(0.0, np.pi), azimuth=AZIMUTH)
+def test_basis_frame_random_bearings(polar, azimuth):
+    _assert_right_handed_tangent_frame(_bearing(polar, azimuth))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polar=st.floats(0.0, np.pi), azimuth=AZIMUTH)
+@example(polar=np.pi - 1e-6, azimuth=0.3)
+def test_basis_matches_rotation_taking_e3_to_bearing(polar, azimuth):
+    rho = _bearing(polar, azimuth)
+    axis = np.cross([0.0, 0.0, 1.0], rho)
+    s = np.linalg.norm(axis)
+    assume(s >= 1e-6)
+    R = SO3.exp(axis / s * np.arctan2(s, rho[2]))
+    assert np.abs(sphere_basis(rho) - R[:, 0:2]).max() <= 1e-12
+
+
+def test_basis_and_jacobian_stack_equal_single_calls():
+    rng = np.random.default_rng(25)
+    points = rng.standard_normal((4, 5, 3)) * 3.0
+    points[0, 0] = [0.0, 0.0, -2.0]
+    rho = points / np.linalg.norm(points, axis=-1, keepdims=True)
+    N, J = sphere_basis(rho), sphere_jacobian(points)
+    assert N.shape == (4, 5, 3, 2) and J.shape == (4, 5, 3, 3)
+    for i in np.ndindex(4, 5):
+        assert np.abs(N[i] - sphere_basis(rho[i])).max() <= 1e-15
+        assert np.abs(J[i] - sphere_jacobian(points[i])).max() <= 1e-15
+
+
+def test_jacobian_degenerate_point_in_stack():
+    with pytest.raises(ValueError, match="degenerate"):
+        sphere_jacobian([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
 
 
 def test_basis_at_e1_matches_defining_formula():

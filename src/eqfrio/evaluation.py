@@ -9,10 +9,8 @@ coordinates at first order.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +19,7 @@ from .lie import SO3, skew, unskew
 CONVERGENCE_ANGLE = np.deg2rad(5.0)
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    """Time-associated ground truth and estimates, with optional pose
-    covariances of the estimator's (rotation, position) error block."""
-
+class _AlignedPair(NamedTuple):
     stamps: np.ndarray        # (M,)
     gt_rot: np.ndarray        # (M, 3, 3)
     gt_pos: np.ndarray        # (M, 3)
@@ -33,16 +27,32 @@ class AlignedPair:
     est_pos: np.ndarray       # (M, 3)
     covariances: np.ndarray | None = None   # (M, 6, 6)
 
-    def __post_init__(self):
+
+class AlignedPair(_AlignedPair):
+    """Time-associated ground truth and estimates, with optional pose
+    covariances of the estimator's (rotation, position) error block.
+    `len(pair)` is the number of poses M, not of fields, so `_make` (and
+    with it `_replace`) goes through the constructor, which checks the
+    lengths."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m = len(self.stamps)
         for arr in (self.gt_rot, self.gt_pos, self.est_rot, self.est_pos):
             if len(arr) != m:
                 raise ValueError("all series must have equal length")
         if self.covariances is not None and len(self.covariances) != m:
             raise ValueError("one covariance per pose required")
+        return self
 
     def __len__(self) -> int:
         return len(self.stamps)
+
+    @classmethod
+    def _make(cls, iterable) -> "AlignedPair":
+        return cls(*iterable)
 
 
 def associate(gt_stamps, gt_rot, gt_pos, est_stamps, est_rot, est_pos,
@@ -180,8 +190,7 @@ def classify_convergence(e_angle: np.ndarray, threshold: float = CONVERGENCE_ANG
     return "fail"
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     translation_rmse: float       # m
     rotation_rmse_deg: float
     position_drift_cm_per_m: float
@@ -234,6 +243,8 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
     calibration.csv  t, mount rotation error rad        (when available)
     nees.csv         t, per-pose NEES, running average   (when available)
     """
+    import csv
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
@@ -272,6 +283,8 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
 
 
 def write_metrics(report: MetricsReport, path) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.as_dict(), f, indent=2)
         f.write("\n")

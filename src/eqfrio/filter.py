@@ -14,8 +14,7 @@ densities require.  The unit input slot carries no noise.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .symmetry import (
     state_action_inverse,
 )
 
-log = logging.getLogger(__name__)
-
 CHI2_GATE_1DOF = 6.63   # 99% quantile
 
 
@@ -67,8 +64,7 @@ def process_noise(gyro=0.0, accel=0.0, virtual_velocity=0.0,
     return np.diag(diag)
 
 
-@dataclass(frozen=True)
-class FilterBelief:
+class FilterBelief(NamedTuple):
     """Estimate on the symmetry group with its error covariance and the clone
     registry (timestamps and the feature ids each clone can still match)."""
 
@@ -182,7 +178,16 @@ def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
     cov = A @ belief.cov @ A.T + (B @ Q @ B.T) / dt
     cov = 0.5 * (cov + cov.T)
     sym = lifted_step(belief.sym, origin, u, dt, gravity)
-    return replace(belief, sym=sym, cov=cov)
+    return belief._replace(sym=sym, cov=cov)
+
+
+def _skipped(belief: FilterBelief, message: str) -> FilterBelief:
+    """Warn on the `eqfrio.filter` logger that an update was skipped; the
+    import stays here, so a run that skips nothing never loads `logging`."""
+    import logging
+
+    logging.getLogger(__name__).warning(message)
+    return belief
 
 
 def _apply_update(belief: FilterBelief, C: np.ndarray, residuals: np.ndarray,
@@ -201,18 +206,16 @@ def _apply_update(belief: FilterBelief, C: np.ndarray, residuals: np.ndarray,
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        log.warning("singular innovation covariance; update skipped")
-        return belief
+        return _skipped(belief, "singular innovation covariance; update skipped")
     if np.min(np.diag(L)) ** 2 <= 1e-12 * np.max(np.diag(S)):
-        log.warning("near-singular innovation covariance; update skipped")
-        return belief
+        return _skipped(belief, "near-singular innovation covariance; update skipped")
 
     K = np.linalg.solve(L.T, np.linalg.solve(L, C @ belief.cov)).T
     correction = error_inverse(K @ residuals)
     sym = group_compose(correction, belief.sym)
     cov = (np.eye(belief.dof) - K @ C) @ belief.cov
     cov = 0.5 * (cov + cov.T)
-    return replace(belief, sym=sym, cov=cov)
+    return belief._replace(sym=sym, cov=cov)
 
 
 def update_doppler(belief: FilterBelief, detections, gyro,
@@ -260,9 +263,8 @@ def clone_augment(belief: FilterBelief, stamp: float, feature_ids,
         raise ValueError("clone timestamps must be strictly increasing")
     sel = np.r_[0 : belief.dof, 18:24]
     cov = belief.cov[np.ix_(sel, sel)]
-    sym = replace(belief.sym, clones=belief.sym.clones + (belief.sym.cal.copy(),))
-    return replace(
-        belief,
+    sym = belief.sym._replace(clones=belief.sym.clones + (belief.sym.cal.copy(),))
+    return belief._replace(
         sym=sym,
         cov=cov,
         stamps=belief.stamps + (float(stamp),),
@@ -277,9 +279,8 @@ def clone_marginalize(belief: FilterBelief, index: int) -> FilterBelief:
     sel = list(range(belief.dof))
     del sel[24 + 6 * index : 30 + 6 * index]
     clones = tuple(F for i, F in enumerate(belief.sym.clones) if i != index)
-    return replace(
-        belief,
-        sym=replace(belief.sym, clones=clones),
+    return belief._replace(
+        sym=belief.sym._replace(clones=clones),
         cov=belief.cov[np.ix_(sel, sel)],
         stamps=tuple(s for i, s in enumerate(belief.stamps) if i != index),
         features=tuple(f for i, f in enumerate(belief.features) if i != index),
@@ -290,4 +291,4 @@ def retain_features(belief: FilterBelief, index: int, feature_ids) -> FilterBeli
     """Shrink a clone's matchable feature set (lifecycle bookkeeping)."""
     features = list(belief.features)
     features[index] = frozenset(feature_ids)
-    return replace(belief, features=tuple(features))
+    return belief._replace(features=tuple(features))

@@ -19,10 +19,9 @@ their line number.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +67,8 @@ def matrix_from_quat(q) -> np.ndarray:
 # --- generic CSV helpers --------------------------------------------------------
 
 def _write_csv(path, header, rows):
+    import csv
+
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -76,6 +77,8 @@ def _write_csv(path, header, rows):
 
 
 def _read_csv(path, expected_header):
+    import csv
+
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing file: {path}")
@@ -273,8 +276,7 @@ def parse_perturbation(text: str) -> np.ndarray:
     return axes[axis_part] * angle
 
 
-@dataclass(frozen=True)
-class DatasetBundle:
+class DatasetBundle(NamedTuple):
     imu_path: Path
     radar_path: Path
     groundtruth_path: Path | None

@@ -15,7 +15,7 @@ form, which matches how radar uncertainty actually behaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,34 +31,37 @@ from .lie import (
 from .symmetry import SymmetryElement, SystemState
 
 
-@dataclass(frozen=True)
-class RadarDetection:
+class RadarDetection(NamedTuple):
     feature_id: int
     point: np.ndarray     # 3D position in the radar frame, m
     doppler: float        # radial speed, m/s
 
 
-@dataclass(frozen=True)
-class RadarScan:
+class RadarScan(NamedTuple):
     stamp: float
     scan_id: int
     detections: tuple     # RadarDetection records
 
 
-@dataclass(frozen=True)
-class DopplerNoiseSpec:
-    """Noise entering a single Doppler row: gyro sample noise, range and
-    bearing noise of the 3D point, and direct Doppler noise."""
-
+class _DopplerNoiseSpec(NamedTuple):
     sigma_gyro: float = 0.0      # rad/s
     sigma_range: float = 0.0     # m
     sigma_bearing: float = 0.0   # rad
     sigma_doppler: float = 0.0   # m/s
 
-    def __post_init__(self):
+
+class DopplerNoiseSpec(_DopplerNoiseSpec):
+    """Noise entering a single Doppler row: gyro sample noise, range and
+    bearing noise of the 3D point, and direct Doppler noise."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.sigma_gyro, self.sigma_range, self.sigma_bearing,
                self.sigma_doppler) < 0:
             raise ValueError("noise densities must be non-negative")
+        return self
 
     def cov(self) -> np.ndarray:
         return np.diag([
@@ -73,8 +76,7 @@ class DopplerNoiseSpec:
         return np.diag(one + one)
 
 
-@dataclass(frozen=True)
-class MatchObservation:
+class MatchObservation(NamedTuple):
     """A feature seen now and at the time of clone `clone_index`."""
 
     feature_id: int

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +37,7 @@ from .io import ConfigError, parse_perturbation
 from .lie import SE3, SE23, SO3, skew
 from .measurements import DopplerNoiseSpec, MatchObservation, RadarScan
 from .simulator import SimConfig, TrajectorySpec, run_simulation
-from .symmetry import (
-    GRAVITY,
-    SystemInput,
-    SystemState,
-)
+from .symmetry import SystemInput, SystemState
 
 RUN_SCHEMA = {
     "seed": ("int", 0),
@@ -138,7 +133,8 @@ def sim_setup_from_values(values: dict, seen=None) -> tuple[TrajectorySpec, SimC
             overrides[f"{prefix}_freq"] = freq
             overrides[f"{prefix}_phase"] = phase
     if overrides:
-        spec = replace(spec, **overrides)
+        # through the constructor, which checks the values; _replace does not
+        spec = TrajectorySpec(*spec._replace(**overrides))
     config = SimConfig(
         imu_rate=values["imu_rate"],
         radar_rate=values["radar_rate"],
@@ -163,8 +159,7 @@ def sim_setup_from_values(values: dict, seen=None) -> tuple[TrajectorySpec, SimC
     return spec, config
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(NamedTuple):
     Q: np.ndarray
     noise_spec: DopplerNoiseSpec
     k_max: int = 10
@@ -173,7 +168,6 @@ class RunSettings:
     gate_doppler: float | None = None
     gate_msc: float | None = CHI2_GATE_1DOF
     dt_max: float = 0.1
-    gravity: np.ndarray = field(default_factory=GRAVITY.copy)
 
 
 def settings_from_values(values: dict, imu_rate: float) -> RunSettings:
@@ -239,8 +233,7 @@ def initial_covariance(xi_hat: SystemState, std: np.ndarray) -> np.ndarray:
     return G @ np.diag(std**2) @ G.T
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     times: np.ndarray
     est_rot: np.ndarray
     est_vel: np.ndarray
@@ -297,7 +290,7 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
         if kind == 0:
             if last_time is not None and t > last_time:
                 belief = propagate(belief, last_input, t - last_time,
-                                   settings.Q, settings.dt_max, settings.gravity)
+                                   settings.Q, settings.dt_max)
             last_input, last_time = SystemInput.from_imu(gyro[idx], accel[idx]), t
             record(t)
             continue
@@ -307,7 +300,7 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
             continue  # no inertial context yet
         if t > last_time:
             belief = propagate(belief, last_input, t - last_time,
-                               settings.Q, settings.dt_max, settings.gravity)
+                               settings.Q, settings.dt_max)
             last_time = t
         gyro_now = last_input.gyro
 
@@ -399,7 +392,7 @@ def prepare_run(run_values: dict, imu_rate: float, rot0, vel0, pos0, cal_true,
     perturb = parse_perturbation(run_values["perturb.calibration"])
     settings = settings_from_values(run_values, imu_rate)
     if use_msc is not None:
-        settings = replace(settings, use_msc=use_msc)
+        settings = settings._replace(use_msc=use_msc)
     xi0 = initial_state_from_truth(rot0, vel0, pos0, cal_true, perturb)
     cov0 = initial_covariance(xi0, init_std_vector(run_values,
                                                    float(np.linalg.norm(perturb))))
@@ -459,14 +452,19 @@ def _single_blas_thread():
         set_num_threads(1)
 
 
-def _worker_pool(max_workers: int) -> ProcessPoolExecutor:
+def _worker_pool(max_workers: int):
+    """Process pool of single-BLAS-thread workers.  Only Monte-Carlo sweeps
+    start one, so `concurrent.futures` is imported here and not with the
+    module."""
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=max_workers, initializer=_single_blas_thread)
 
 
 def _montecarlo_job(args):
     sim_values, sim_seen, run_values, seed, perturb_label, use_msc = args
     spec, config = sim_setup_from_values(sim_values, sim_seen)
-    config = replace(config, seed=seed)
+    config = config._replace(seed=seed)
     run_values = dict(run_values)
     run_values["perturb.calibration"] = perturb_label
     _, result, pair = simulate_and_run(spec, config, run_values, use_msc=use_msc)

@@ -12,7 +12,7 @@ every detection exactly consistent with the measurement model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +21,7 @@ from .measurements import RadarDetection, RadarScan, apply_spherical_noise, dopp
 from .symmetry import GRAVITY, SystemInput, SystemState, discrete_dynamics
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Per-axis position sinusoids and a yaw/pitch/roll attitude profile."""
-
+class _TrajectorySpec(NamedTuple):
     duration: float
     pos_amp: tuple = (0.0, 0.0, 0.0)      # m
     pos_freq: tuple = (0.0, 0.0, 0.0)     # Hz
@@ -39,12 +36,22 @@ class TrajectorySpec:
     pitch_freq: float = 0.0
     pitch_phase: float = 0.0
 
-    def __post_init__(self):
+
+class TrajectorySpec(_TrajectorySpec):
+    """Per-axis position sinusoids and a yaw/pitch/roll attitude profile.
+    The constructor checks the duration and frequencies; `_replace` does
+    not, so build a spec with new values through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if min(self.pos_freq) < 0 or min(self.yaw_freq, self.roll_freq,
                                          self.pitch_freq) < 0:
             raise ValueError("frequencies must be non-negative")
+        return self
 
     @staticmethod
     def hover(duration: float = 10.0) -> "TrajectorySpec":
@@ -130,8 +137,7 @@ class TrajectorySampler:
                                     self.position(t))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
     imu_rate: float = 200.0
     radar_rate: float = 10.0
     gyro_noise: float = 0.0          # rad/s/sqrt(Hz)
@@ -152,19 +158,28 @@ class SimConfig:
     id_mismatch_rate: float = 0.0     # per-scan probability of an id swap
     seed: int = 0
 
-    def __post_init__(self):
+
+class SimConfig(_SimConfig):
+    """Sensor rates and noise, radar mount and field of view, landmarks and
+    seed of one simulation.  The constructor checks the rates; `_replace`
+    does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.imu_rate <= 0 or self.radar_rate <= 0:
             raise ValueError("rates must be positive")
         if self.imu_rate < self.radar_rate:
             raise ValueError("imu rate must be at least the radar rate")
+        return self
 
     def extrinsics(self) -> np.ndarray:
         return SE3.from_components(SO3.exp(np.asarray(self.cal_rot, dtype=float)),
                                    np.asarray(self.cal_pos, dtype=float))
 
 
-@dataclass(frozen=True)
-class SimOutput:
+class SimOutput(NamedTuple):
     times: np.ndarray          # (N,)
     rotations: np.ndarray      # (N, 3, 3) ground truth attitude
     velocities: np.ndarray     # (N, 3)
@@ -245,9 +260,9 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
     bias_g = config.gyro_bias_std * rng.standard_normal(3)
     bias_a = config.accel_bias_std * rng.standard_normal(3)
 
-    state = SystemState(pose=sampler.state(0.0), bias=np.zeros(9),
+    state = SystemState(pose=sampler.state(0.0),
+                        bias=np.concatenate([bias_g, bias_a, np.zeros(3)]),
                         cal=config.extrinsics())
-    state = replace(state, bias=np.concatenate([bias_g, bias_a, np.zeros(3)]))
 
     times = np.zeros(n)
     rotations = np.zeros((n, 3, 3))
@@ -294,7 +309,7 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
                 config.accel_walk * sqrt_dt * rng.standard_normal(3),
                 np.zeros(3),
             ])
-            state = replace(state, bias=state.bias + walk)
+            state = state._replace(bias=state.bias + walk)
 
     return SimOutput(
         times=times, rotations=rotations, velocities=velocities,

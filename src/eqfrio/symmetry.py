@@ -16,7 +16,7 @@ which is what gives the filter its large basin of attraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,15 @@ def gravity_generator(gravity=GRAVITY) -> np.ndarray:
     return np.concatenate([np.zeros(3), -np.asarray(gravity, dtype=float), np.zeros(3), [1.0]])
 
 
-@dataclass(frozen=True)
-class SystemState:
+class _SystemState(NamedTuple):
+    pose: np.ndarray
+    bias: np.ndarray
+    cal: np.ndarray
+    clones: tuple = ()
+    stamps: tuple = ()
+
+
+class SystemState(_SystemState):
     """Physical state: extended pose, biases, radar extrinsics, pose clones.
 
     pose    5x5 extended pose (attitude, velocity m/s, position m)
@@ -47,19 +54,20 @@ class SystemState:
     cal     4x4 radar pose in the IMU frame
     clones  past radar poses, 4x4 each
     stamps  clone timestamps, strictly increasing
+
+    The constructor checks clones against stamps; `_replace` does not, so
+    change `clones` or `stamps` through the constructor.
     """
 
-    pose: np.ndarray
-    bias: np.ndarray
-    cal: np.ndarray
-    clones: tuple = ()
-    stamps: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.clones) != len(self.stamps):
             raise ValueError("one timestamp per clone required")
         if any(b >= a for a, b in zip(self.stamps[1:], self.stamps)):
             raise ValueError("clone timestamps must be strictly increasing")
+        return self
 
     @property
     def n_clones(self) -> int:
@@ -91,8 +99,7 @@ def identity_state(n_clones: int = 0, stamps: tuple = ()) -> SystemState:
     )
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """Element of the symmetry group.
 
     nav         5x5 extended pose transporting the navigation states
@@ -165,8 +172,13 @@ def group_log(X: SymmetryElement) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@dataclass(frozen=True)
-class SystemInput:
+class _SystemInput(NamedTuple):
+    nav: np.ndarray
+    tau: np.ndarray
+    mu: np.ndarray
+
+
+class SystemInput(_SystemInput):
     """System input: IMU-driven navigation input plus bias and calibration
     drive terms.
 
@@ -175,15 +187,15 @@ class SystemInput:
     mu   (6,) extrinsic evolution input
     """
 
-    nav: np.ndarray
-    tau: np.ndarray
-    mu: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if np.asarray(self.nav).shape != (10,):
             raise ValueError("nav input must be a 10-vector")
         if self.nav[9] != 1.0:
             raise ValueError("nav input unit slot must be exactly 1")
+        return self
 
     @property
     def gyro(self) -> np.ndarray:
@@ -269,8 +281,7 @@ def discrete_dynamics(xi: SystemState, u: SystemInput, dt: float,
     drift = Gal3.exp(-dt * gravity_generator(gravity))
     pose_g = project_group(SE23, Gal3, xi.pose)
     pose = project_group(Gal3, SE23, drift @ pose_g @ _input_step(u, xi.bias, dt))
-    return replace(
-        xi,
+    return xi._replace(
         pose=pose,
         bias=xi.bias + dt * u.tau,
         cal=xi.cal @ SE3.exp(dt * u.mu),

@@ -562,8 +562,6 @@ def test_update_msc_shrinks_calibration_covariance():
 def test_run_loop_handles_off_grid_scan_times():
     # radar stamps between inertial samples trigger partial propagation;
     # zero-order-hold steps compose exactly, so noise-free tracking survives
-    from dataclasses import replace as dc_replace
-
     from eqfrio.pipeline import RUN_SCHEMA, initial_state_from_truth, run_filter, settings_from_values
     from eqfrio.simulator import SimConfig, TrajectorySpec, run_simulation
 
@@ -572,7 +570,7 @@ def test_run_loop_handles_off_grid_scan_times():
                        cal_rot=(0.1, -0.2, 0.3), cal_pos=(0.1, 0.05, -0.02),
                        seed=6)
     sim = run_simulation(spec, config)
-    shifted = tuple(dc_replace(s, stamp=s.stamp + 0.004) for s in sim.scans)
+    shifted = tuple(s._replace(stamp=s.stamp + 0.004) for s in sim.scans)
 
     values = {k: v for k, (_, v) in RUN_SCHEMA.items()}
     settings = settings_from_values(values, config.imu_rate)

@@ -9,12 +9,14 @@ coordinates at first order.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .lie import SO3, skew, unskew
+from .symmetry import CheckedRecord
 
 CONVERGENCE_ANGLE = np.deg2rad(5.0)
 
@@ -28,31 +30,23 @@ class _AlignedPair(NamedTuple):
     covariances: np.ndarray | None = None   # (M, 6, 6)
 
 
-class AlignedPair(_AlignedPair):
+class AlignedPair(CheckedRecord, _AlignedPair):
     """Time-associated ground truth and estimates, with optional pose
     covariances of the estimator's (rotation, position) error block.
-    `len(pair)` is the number of poses M, not of fields, so `_make` (and
-    with it `_replace`) goes through the constructor, which checks the
-    lengths."""
+    `len(pair)` is the number of poses M, not of fields."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         m = len(self.stamps)
         for arr in (self.gt_rot, self.gt_pos, self.est_rot, self.est_pos):
             if len(arr) != m:
                 raise ValueError("all series must have equal length")
         if self.covariances is not None and len(self.covariances) != m:
             raise ValueError("one covariance per pose required")
-        return self
 
     def __len__(self) -> int:
         return len(self.stamps)
-
-    @classmethod
-    def _make(cls, iterable) -> "AlignedPair":
-        return cls(*iterable)
 
 
 def associate(gt_stamps, gt_rot, gt_pos, est_stamps, est_rot, est_pos,
@@ -283,8 +277,6 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
 
 
 def write_metrics(report: MetricsReport, path) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.as_dict(), f, indent=2)
         f.write("\n")

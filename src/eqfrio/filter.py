@@ -182,8 +182,7 @@ def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
 
 
 def _skipped(belief: FilterBelief, message: str) -> FilterBelief:
-    """Warn on the `eqfrio.filter` logger that an update was skipped; the
-    import stays here, so a run that skips nothing never loads `logging`."""
+    """Warn that an update was skipped; only then is `logging` imported."""
     import logging
 
     logging.getLogger(__name__).warning(message)

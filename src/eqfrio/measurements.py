@@ -28,7 +28,7 @@ from .lie import (
     sphere_decompose,
     sphere_jacobian,
 )
-from .symmetry import SymmetryElement, SystemState
+from .symmetry import CheckedRecord, SymmetryElement, SystemState
 
 
 class RadarDetection(NamedTuple):
@@ -50,18 +50,16 @@ class _DopplerNoiseSpec(NamedTuple):
     sigma_doppler: float = 0.0   # m/s
 
 
-class DopplerNoiseSpec(_DopplerNoiseSpec):
+class DopplerNoiseSpec(CheckedRecord, _DopplerNoiseSpec):
     """Noise entering a single Doppler row: gyro sample noise, range and
     bearing noise of the 3D point, and direct Doppler noise."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if min(self.sigma_gyro, self.sigma_range, self.sigma_bearing,
                self.sigma_doppler) < 0:
             raise ValueError("noise densities must be non-negative")
-        return self
 
     def cov(self) -> np.ndarray:
         return np.diag([

@@ -133,8 +133,7 @@ def sim_setup_from_values(values: dict, seen=None) -> tuple[TrajectorySpec, SimC
             overrides[f"{prefix}_freq"] = freq
             overrides[f"{prefix}_phase"] = phase
     if overrides:
-        # through the constructor, which checks the values; _replace does not
-        spec = TrajectorySpec(*spec._replace(**overrides))
+        spec = spec._replace(**overrides)
     config = SimConfig(
         imu_rate=values["imu_rate"],
         radar_rate=values["radar_rate"],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lie import SE3, SE23, SO3
 from .measurements import RadarDetection, RadarScan, apply_spherical_noise, doppler_model
-from .symmetry import GRAVITY, SystemInput, SystemState, discrete_dynamics
+from .symmetry import GRAVITY, CheckedRecord, SystemInput, SystemState, discrete_dynamics
 
 
 class _TrajectorySpec(NamedTuple):
@@ -37,21 +37,17 @@ class _TrajectorySpec(NamedTuple):
     pitch_phase: float = 0.0
 
 
-class TrajectorySpec(_TrajectorySpec):
-    """Per-axis position sinusoids and a yaw/pitch/roll attitude profile.
-    The constructor checks the duration and frequencies; `_replace` does
-    not, so build a spec with new values through the constructor."""
+class TrajectorySpec(CheckedRecord, _TrajectorySpec):
+    """Per-axis position sinusoids and a yaw/pitch/roll attitude profile."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if min(self.pos_freq) < 0 or min(self.yaw_freq, self.roll_freq,
                                          self.pitch_freq) < 0:
             raise ValueError("frequencies must be non-negative")
-        return self
 
     @staticmethod
     def hover(duration: float = 10.0) -> "TrajectorySpec":
@@ -159,20 +155,17 @@ class _SimConfig(NamedTuple):
     seed: int = 0
 
 
-class SimConfig(_SimConfig):
+class SimConfig(CheckedRecord, _SimConfig):
     """Sensor rates and noise, radar mount and field of view, landmarks and
-    seed of one simulation.  The constructor checks the rates; `_replace`
-    does not."""
+    seed of one simulation."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.imu_rate <= 0 or self.radar_rate <= 0:
             raise ValueError("rates must be positive")
         if self.imu_rate < self.radar_rate:
             raise ValueError("imu rate must be at least the radar rate")
-        return self
 
     def extrinsics(self) -> np.ndarray:
         return SE3.from_components(SO3.exp(np.asarray(self.cal_rot, dtype=float)),

@@ -38,6 +38,24 @@ def gravity_generator(gravity=GRAVITY) -> np.ndarray:
     return np.concatenate([np.zeros(3), -np.asarray(gravity, dtype=float), np.zeros(3), [1.0]])
 
 
+class CheckedRecord:
+    """Mixin for a NamedTuple record whose `_check` method rejects bad
+    values: runs it on construction, on `_make` and `_replace`, and on
+    unpickling.  Put it before the NamedTuple base and give the subclass
+    `__slots__ = ()`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _SystemState(NamedTuple):
     pose: np.ndarray
     bias: np.ndarray
@@ -46,7 +64,7 @@ class _SystemState(NamedTuple):
     stamps: tuple = ()
 
 
-class SystemState(_SystemState):
+class SystemState(CheckedRecord, _SystemState):
     """Physical state: extended pose, biases, radar extrinsics, pose clones.
 
     pose    5x5 extended pose (attitude, velocity m/s, position m)
@@ -54,20 +72,15 @@ class SystemState(_SystemState):
     cal     4x4 radar pose in the IMU frame
     clones  past radar poses, 4x4 each
     stamps  clone timestamps, strictly increasing
-
-    The constructor checks clones against stamps; `_replace` does not, so
-    change `clones` or `stamps` through the constructor.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if len(self.clones) != len(self.stamps):
             raise ValueError("one timestamp per clone required")
         if any(b >= a for a, b in zip(self.stamps[1:], self.stamps)):
             raise ValueError("clone timestamps must be strictly increasing")
-        return self
 
     @property
     def n_clones(self) -> int:
@@ -178,7 +191,7 @@ class _SystemInput(NamedTuple):
     mu: np.ndarray
 
 
-class SystemInput(_SystemInput):
+class SystemInput(CheckedRecord, _SystemInput):
     """System input: IMU-driven navigation input plus bias and calibration
     drive terms.
 
@@ -189,13 +202,11 @@ class SystemInput(_SystemInput):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if np.asarray(self.nav).shape != (10,):
             raise ValueError("nav input must be a 10-vector")
         if self.nav[9] != 1.0:
             raise ValueError("nav input unit slot must be exactly 1")
-        return self
 
     @property
     def gyro(self) -> np.ndarray:

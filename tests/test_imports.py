@@ -1,8 +1,8 @@
 """Importing the run-loop layers loads no stdlib module that only some paths
 need: record generation (`dataclasses`), the skipped-update warning
-(`logging`), file formats (`json`, `csv`) and Monte-Carlo process pools
-(`concurrent.futures`).  Short-lived `eqf-rio` processes pay for every
-module imported at start-up."""
+(`logging`), CSV files (`csv`) and Monte-Carlo process pools
+(`concurrent.futures`).  `json` is not among them: the command-line front
+end and the set-up probe load it anyway, so deferring it saves no time."""
 
 import os
 import subprocess
@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-DEFERRED = ("dataclasses", "logging", "json", "csv", "concurrent.futures")
+DEFERRED = ("dataclasses", "logging", "csv", "concurrent.futures")
 
 
 def test_run_loop_layers_import_without_deferred_modules():

@@ -1,6 +1,8 @@
-"""The package's records: immutable NamedTuples whose constructors check
-their values, also when the values come from a configuration file."""
+"""The package's records: immutable NamedTuples; the checked ones reject
+bad values on construction, `_make`, `_replace` and unpickling, also when
+the values come from a configuration file."""
 
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,40 @@ BAD_VALUES = [
 def test_checked_record_rejects_bad_values(match, build):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+REPLACE_BAD_VALUES = [
+    (SystemState, "one timestamp per clone", {"clones": ()}),
+    (SystemState, "strictly increasing", {"stamps": (2.0, 1.0)}),
+    (SystemInput, "10-vector", {"nav": np.zeros(9)}),
+    (SystemInput, "unit slot", {"nav": np.zeros(10)}),
+    (DopplerNoiseSpec, "non-negative", {"sigma_range": -0.05}),
+    (TrajectorySpec, "duration", {"duration": 0.0}),
+    (TrajectorySpec, "frequencies", {"yaw_freq": -0.1}),
+    (SimConfig, "rates", {"radar_rate": 0.0}),
+    (SimConfig, "at least the radar rate", {"imu_rate": 5.0}),
+    (AlignedPair, "equal length", {"gt_pos": np.zeros((1, 3))}),
+    (AlignedPair, "one covariance", {"covariances": np.zeros((1, 6, 6))}),
+]
+
+
+@pytest.mark.parametrize("cls,match,changes", REPLACE_BAD_VALUES,
+                         ids=[f"{c.__name__}-{m}" for c, m, _ in REPLACE_BAD_VALUES])
+def test_checked_record_replace_and_make_reject_bad_values(cls, match, changes):
+    record = RECORDS[cls]() if cls is not AlignedPair else _pair(3)
+    with pytest.raises(ValueError, match=match):
+        record._replace(**changes)
+    with pytest.raises(ValueError, match=match):
+        cls._make(changes.get(name, value) for name, value in zip(cls._fields, record))
+
+
+@pytest.mark.parametrize("cls", [SystemState, SystemInput, DopplerNoiseSpec,
+                                 TrajectorySpec, SimConfig, AlignedPair],
+                         ids=lambda cls: cls.__name__)
+def test_checked_record_survives_pickling(cls):
+    record = RECORDS[cls]()
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and len(copy) == len(record)
 
 
 def test_aligned_pair_length_is_its_pose_count():

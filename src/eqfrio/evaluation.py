@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .io import _write_csv
 from .lie import SO3, skew, unskew
 from .symmetry import CheckedRecord
 
@@ -237,19 +238,13 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
     calibration.csv  t, mount rotation error rad        (when available)
     nees.csv         t, per-pose NEES, running average   (when available)
     """
-    import csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
 
     def write(name, header, rows):
         path = out_dir / name
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([f"{v:.17g}" for v in row])
+        _write_csv(path, header, rows)
         created.append(path)
 
     write("trajectory.csv",

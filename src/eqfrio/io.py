@@ -5,7 +5,9 @@ doubles):
 
   imu.csv          t, wx, wy, wz, ax, ay, az            (s, rad/s, m/s^2)
   radar.csv        t, scan_id, feature_id, px, py, pz, doppler
-                   feature_id -1 marks an untracked detection
+                   feature_id -1 marks an untracked detection; a scan
+                   with no detections has no row, so the filter skips
+                   empty scans in memory as well
   groundtruth.csv  t, qw, qx, qy, qz, px, py, pz, vx, vy, vz
   estimate.csv     groundtruth columns plus the upper triangle (21 values)
                    of the 6x6 pose-error covariance block
@@ -91,6 +93,9 @@ def _read_csv(path, expected_header):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(expected_header):
+                raise ConfigError(f"{path}:{lineno}: expected {len(expected_header)} "
+                                  f"values, got {len(row)}")
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:

@@ -3,8 +3,8 @@
 Groups: SO(3) rotations, SE(3) rigid transforms, SE2(3) extended poses
 (rotation, velocity, position) and Gal(3), which extends SE2(3) with a time
 shift so that one exponential integrates gravity, velocity and position over
-a step.  Also contains the range/bearing operators on R x S^2 used by the
-radar noise model.
+a step.  Also contains the tangent basis and retraction Jacobian of
+range/bearing points on R x S^2 used by the radar noise model.
 
 Conventions:
   * Group elements are plain numpy arrays in homogeneous matrix form:
@@ -22,7 +22,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -602,24 +601,7 @@ def project_algebra(src, dst, u) -> np.ndarray:
         raise ValueError(f"unsupported algebra projection {src.__name__} -> {dst.__name__}")
 
 
-# --- R x S^2 operators ------------------------------------------------------
-
-class SphericalPoint(NamedTuple):
-    kappa: float          # range, m
-    rho: np.ndarray       # unit bearing vector
-
-
-def sphere_decompose(x) -> SphericalPoint:
-    x = np.asarray(x, dtype=float)
-    kappa = float(np.linalg.norm(x))
-    if kappa <= KAPPA_MIN:
-        raise ValueError("degenerate point: range below minimum")
-    return SphericalPoint(kappa, x / kappa)
-
-
-def sphere_compose(sp: SphericalPoint) -> np.ndarray:
-    return sp.kappa * np.asarray(sp.rho, dtype=float)
-
+# --- R x S^2 tangent basis and retraction Jacobian -------------------------
 
 def sphere_basis(rho) -> np.ndarray:
     """Orthonormal (..., 3, 2) basis of the tangent plane at each unit bearing
@@ -665,16 +647,3 @@ def sphere_jacobian(p) -> np.ndarray:
     J[..., 1] = -kappa * N[..., 1]
     J[..., 2] = kappa * N[..., 0]
     return J
-
-
-def sphere_boxplus(sp: SphericalPoint, eta) -> SphericalPoint:
-    """Perturb range additively and bearing by a tangent-plane rotation."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (3,):
-        raise ValueError(f"perturbation must be a 3-vector, got {eta.shape}")
-    kappa = sp.kappa + eta[0]
-    if kappa <= 0.0:
-        raise ValueError("negative range after perturbation")
-    N = sphere_basis(sp.rho)
-    rho = SO3.exp(N @ eta[1:3]) @ sp.rho
-    return SphericalPoint(float(kappa), rho)

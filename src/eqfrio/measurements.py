@@ -19,15 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import (
-    SE3,
-    SE23,
-    skew,
-    sphere_boxplus,
-    sphere_compose,
-    sphere_decompose,
-    sphere_jacobian,
-)
+from .lie import KAPPA_MIN, SE3, SE23, skew, sphere_basis, sphere_jacobian
 from .symmetry import CheckedRecord, SymmetryElement, SystemState
 
 
@@ -186,5 +178,22 @@ def point_rows(X: SymmetryElement, clone_index, point_then):
 
 
 def apply_spherical_noise(point, eta) -> np.ndarray:
-    """Perturb a 3D point in range/bearing coordinates."""
-    return sphere_compose(sphere_boxplus(sphere_decompose(point), eta))
+    """Perturb 3D points of shape (..., 3) in range/bearing coordinates by
+    eta of the same shape: the range moves by eta_0 and the bearing rho
+    turns by exp(w) with w = N (eta_1, eta_2), N the tangent basis at rho.
+    As w is perpendicular to rho, Rodrigues' formula reduces to
+    cos(theta) rho + sinc(theta) w x rho with theta = |w|, and
+    w x rho = eta_2 t1 - eta_1 t2 for N = (t1, t2)."""
+    point = np.asarray(point, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    kappa = np.linalg.norm(point, axis=-1)[..., None]
+    if (kappa <= KAPPA_MIN).any():
+        raise ValueError("degenerate point: range below minimum")
+    moved = kappa + eta[..., 0:1]
+    if (moved <= 0.0).any():
+        raise ValueError("negative range after perturbation")
+    rho = point / kappa
+    N = sphere_basis(rho)
+    theta = np.hypot(eta[..., 1:2], eta[..., 2:3])
+    turn = eta[..., 2:3] * N[..., 0] - eta[..., 1:2] * N[..., 1]
+    return moved * (np.cos(theta) * rho + np.sinc(theta / np.pi) * turn)

@@ -250,8 +250,10 @@ def _pose_cov_block(cov: np.ndarray) -> np.ndarray:
 def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                settings: RunSettings, cal_rot_truth=None) -> RunResult:
     """Drive the filter over one dataset.  Timestamps must be monotone;
-    violations abort with the offending record."""
+    violations abort with the offending record.  A scan with no detections
+    is skipped, as it has no row in radar.csv."""
     times = np.asarray(times, dtype=float)
+    scans = [scan for scan in scans if scan.detections]
     belief = initialize(xi0, cov0)
     S_true = None if cal_rot_truth is None else np.asarray(cal_rot_truth)
 
@@ -303,7 +305,7 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
             last_time = t
         gyro_now = last_input.gyro
 
-        if settings.use_doppler and scan.detections:
+        if settings.use_doppler:
             belief = update_doppler(belief, scan.detections, gyro_now,
                                     settings.noise_spec, settings.gate_doppler)
 

@@ -210,34 +210,28 @@ def synthesize_radar_scan(state: SystemState, gyro, landmarks, config: SimConfig
                           scan_id: int, stamp: float, rng=None) -> RadarScan:
     """Detections of all landmarks inside the sensor's cone, with stable
     ground-truth feature ids.  The noise-free Doppler of each detection is
-    the measurement model evaluated at the true state, exactly."""
-    radar_pose = state.radar_pose()
-    R_radar, p_radar = SE3.components(radar_pose)
-    detections = []
-    for fid, world in enumerate(landmarks):
-        point = R_radar.T @ (world - p_radar)
-        rng_m = np.linalg.norm(point)
-        if rng_m < 1e-3 or rng_m > config.fov_max_range:
-            continue
-        if point[0] < rng_m * np.cos(config.fov_half_angle):
-            continue
-        doppler = doppler_model(state, point, gyro)
-        if rng is not None:
-            eta = np.array([
-                config.range_noise * rng.standard_normal(),
-                config.bearing_noise * rng.standard_normal(),
-                config.bearing_noise * rng.standard_normal(),
-            ])
-            point = apply_spherical_noise(point, eta)
-            doppler += config.doppler_noise * rng.standard_normal()
-        detections.append(RadarDetection(fid, point, float(doppler)))
-    if rng is not None and config.id_mismatch_rate > 0 and len(detections) >= 2:
-        if rng.random() < config.id_mismatch_rate:
-            i, j = rng.choice(len(detections), size=2, replace=False)
-            a, b = detections[i], detections[j]
-            detections[i] = RadarDetection(b.feature_id, a.point, a.doppler)
-            detections[j] = RadarDetection(a.feature_id, b.point, b.doppler)
-    return RadarScan(stamp=stamp, scan_id=scan_id, detections=tuple(detections))
+    the measurement model evaluated at the true state, exactly.  Noise takes
+    one (n, 4) normal draw, a row of (range, bearing, bearing, Doppler) per
+    detection, then at most one id swap."""
+    R_radar, p_radar = SE3.components(state.radar_pose())
+    points = (landmarks - p_radar) @ R_radar
+    rng_m = np.linalg.norm(points, axis=-1)
+    ids = np.flatnonzero((rng_m >= 1e-3) & (rng_m <= config.fov_max_range)
+                         & (points[:, 0] >= rng_m * np.cos(config.fov_half_angle)))
+    points = points[ids]
+    doppler = doppler_model(state, points, gyro)
+    if rng is not None:
+        noise = rng.standard_normal((len(ids), 4)) * [
+            config.range_noise, config.bearing_noise, config.bearing_noise,
+            config.doppler_noise]
+        points = apply_spherical_noise(points, noise[:, 0:3])
+        doppler = doppler + noise[:, 3]
+        if config.id_mismatch_rate > 0 and len(ids) >= 2 \
+                and rng.random() < config.id_mismatch_rate:
+            pair = rng.choice(len(ids), size=2, replace=False)
+            ids[pair] = ids[pair[::-1]]
+    detections = tuple(map(RadarDetection, ids.tolist(), points, doppler.tolist()))
+    return RadarScan(stamp=stamp, scan_id=scan_id, detections=detections)
 
 
 def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:

@@ -584,3 +584,24 @@ def test_run_loop_handles_off_grid_scan_times():
     on_grid = np.isin(result.times, sim.times)
     err = result.est_pos[on_grid][-1] - sim.positions[-1]
     assert np.linalg.norm(err) < 1e-6
+
+
+def test_run_loop_skips_empty_scans():
+    # radar.csv has no row for a scan without detections, so the run loop
+    # must not evict clones or otherwise act on one: an in-memory run then
+    # equals a run on the scans read back from files
+    from eqfrio.pipeline import prepare_run, run_filter
+    from eqfrio.simulator import TrajectorySpec, run_simulation
+
+    config = _mc_sim_config(2)._replace(radar_rate=10.0, landmark_count=6)
+    sim = run_simulation(TrajectorySpec.excited(5.0), config)
+    kept = tuple(s for s in sim.scans if s.detections)
+    assert len(sim.scans) - len(kept) >= 10
+    settings, xi0, cov0 = prepare_run(_mc_run_values(), config.imu_rate,
+                                      sim.rotations[0], sim.velocities[0],
+                                      sim.positions[0], config.extrinsics())
+    runs = [run_filter(sim.times, sim.imu_gyro, sim.imu_accel, scans, xi0, cov0,
+                       settings) for scans in (sim.scans, kept)]
+    for name in ("times", "est_rot", "est_vel", "est_pos", "pose_cov"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+    assert np.array_equal(runs[0].final_belief.cov, runs[1].final_belief.cov)

@@ -117,6 +117,24 @@ def test_csv_non_finite_value_names_file_and_line(tmp_path, value):
         read_imu_csv(path)
 
 
+def test_csv_short_rows_are_not_regrouped(tmp_path):
+    # 7 rows of 6 values hold 42 values, as many as 6 rows of 7
+    path = tmp_path / "imu.csv"
+    path.write_text("t,wx,wy,wz,ax,ay,az\n" + "0,1,2,3,4,5\n" * 7)
+    with pytest.raises(ConfigError, match=r"imu\.csv:2: expected 7 values, got 6"):
+        read_imu_csv(path)
+
+
+def test_csv_single_short_row_names_file_and_line(tmp_path):
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, np.array([0.0, 0.1, 0.2]), np.zeros((3, 3)), np.ones((3, 3)))
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"imu\.csv:4: expected 7 values, got 6"):
+        read_imu_csv(path)
+
+
 def test_kv_parser_happy_path():
     schema = {"a.x": ("float", 1.0), "a.flag": ("bool", False),
               "name": ("str", "none"), "vec": ("vec3", (0.0, 0.0, 0.0)),

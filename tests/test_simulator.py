@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eqfrio.filter import initialize, propagate
-from eqfrio.lie import SE3, SO3, skew
+from eqfrio.lie import SE3, SO3, skew, sphere_basis
 from eqfrio.measurements import doppler_model
 from eqfrio.simulator import (
     SimConfig,
@@ -152,6 +152,49 @@ def test_id_mismatch_swaps_ids():
     ids = [d.feature_id for d in scan.detections]
     assert sorted(ids) == [0, 1, 2]
     assert ids != [0, 1, 2]  # at least one swap happened
+
+
+def test_radar_scan_noise_draw_order():
+    """The scan's one (n, 4) normal draw consumes the stream as scalar draws
+    of range, bearing, bearing and Doppler noise per detection would, with
+    the bearing turned by exp(N eta) of its tangent basis N."""
+    config = SimConfig(range_noise=0.05, bearing_noise=0.01, doppler_noise=0.05,
+                       cal_rot=(0.1, -0.2, 0.3), cal_pos=(0.1, 0.05, -0.02),
+                       id_mismatch_rate=1.0)
+    state = SystemState(pose=TrajectorySampler(TrajectorySpec.excited()).state(1.3),
+                        bias=np.zeros(9), cal=config.extrinsics())
+    gyro = np.array([0.1, -0.2, 0.05])
+    landmarks = np.random.default_rng(8).uniform(-12.0, 12.0, size=(60, 3))
+    drawn = np.random.default_rng(9)
+    scan = synthesize_radar_scan(state, gyro, landmarks, config, 0, 0.0, rng=drawn)
+
+    rng = np.random.default_rng(9)
+    R, p = SE3.components(state.radar_pose())
+    expected = []
+    for fid, world in enumerate(landmarks):
+        point = R.T @ (world - p)
+        kappa = np.linalg.norm(point)
+        if not (1e-3 <= kappa <= config.fov_max_range
+                and point[0] >= kappa * np.cos(config.fov_half_angle)):
+            continue
+        doppler = doppler_model(state, point, gyro)
+        d_range = config.range_noise * rng.standard_normal()
+        d_bearing = np.array([config.bearing_noise * rng.standard_normal(),
+                              config.bearing_noise * rng.standard_normal()])
+        rho = point / kappa
+        point = (kappa + d_range) * SO3.exp(sphere_basis(rho) @ d_bearing) @ rho
+        doppler += config.doppler_noise * rng.standard_normal()
+        expected.append([fid, point, doppler])
+    assert len(expected) >= 5
+    assert rng.random() < config.id_mismatch_rate
+    i, j = rng.choice(len(expected), size=2, replace=False)
+    expected[i][0], expected[j][0] = expected[j][0], expected[i][0]
+
+    assert [d.feature_id for d in scan.detections] == [e[0] for e in expected]
+    for det, (_, point, doppler) in zip(scan.detections, expected):
+        assert np.abs(det.point - point).max() <= 1e-12
+        assert abs(det.doppler - doppler) <= 1e-12
+    assert drawn.random() == rng.random()
 
 
 def test_simulation_deterministic_per_seed():

@@ -1,40 +1,35 @@
-"""Range/bearing manifold operators."""
+"""Range/bearing manifold operators: the tangent basis, the retraction
+Jacobian, and the range/bearing perturbation of radar points."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eqfrio.lie import (
-    SO3,
-    SphericalPoint,
-    sphere_basis,
-    sphere_boxplus,
-    sphere_compose,
-    sphere_decompose,
-    sphere_jacobian,
-)
+from eqfrio.lie import SO3, sphere_basis, sphere_jacobian
+from eqfrio.measurements import apply_spherical_noise
 from helpers import assert_close, central_difference
 
 
 def test_decompose_simple():
-    sp = sphere_decompose([3.0, 0.0, 0.0])
-    assert np.isclose(sp.kappa, 3.0)
-    assert np.allclose(sp.rho, [1.0, 0.0, 0.0])
+    # at e1 the basis is (-e3, e2): a quarter turn along t1 takes e1 to -e2
+    out = apply_spherical_noise([3.0, 0.0, 0.0], [1.0, np.pi / 2, 0.0])
+    assert np.abs(out - [0.0, -4.0, 0.0]).max() <= 1e-15
 
 
 def test_decompose_compose_roundtrip():
     rng = np.random.default_rng(20)
-    for _ in range(1000):
-        x = rng.standard_normal(3) * 5.0
-        if np.linalg.norm(x) < 1e-3:
-            continue
-        assert np.allclose(sphere_compose(sphere_decompose(x)), x, atol=1e-12)
+    x = rng.standard_normal((1000, 3)) * 5.0
+    x = x[np.linalg.norm(x, axis=-1) >= 1e-3]
+    step = np.zeros_like(x)
+    step[:, 0] = rng.random(len(x))
+    back = apply_spherical_noise(apply_spherical_noise(x, step), -step)
+    assert np.allclose(back, x, atol=1e-12)
 
 
 def test_decompose_degenerate_point():
     with pytest.raises(ValueError, match="degenerate"):
-        sphere_decompose([0.0, 0.0, 1e-9])
+        apply_spherical_noise([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-9]], np.zeros((2, 3)))
 
 
 def test_basis_at_pole():
@@ -150,10 +145,8 @@ def test_jacobian_matches_finite_difference():
         if np.linalg.norm(p) < 0.1:
             continue
 
-        def retract(eta):
-            return sphere_compose(sphere_boxplus(sphere_decompose(p), eta))
-
-        Jfd = central_difference(retract, np.zeros(3), step=1e-6)
+        Jfd = central_difference(lambda eta: apply_spherical_noise(p, eta),
+                                 np.zeros(3), step=1e-6)
         assert_close(Jfd, sphere_jacobian(p), 1e-6, "sphere jacobian FD")
 
 
@@ -166,33 +159,53 @@ def test_jacobian_scaling():
     assert np.allclose(J2[:, 1:3], 2.5 * J1[:, 1:3], atol=1e-12)
 
 
-def test_boxplus_zero_perturbation():
-    sp = sphere_decompose([1.0, 2.0, 3.0])
-    out = sphere_boxplus(sp, np.zeros(3))
-    assert np.isclose(out.kappa, sp.kappa)
-    assert np.allclose(out.rho, sp.rho)
+COORD = st.floats(-10.0, 10.0)
+POINT = st.tuples(COORD, COORD, COORD).filter(lambda p: np.linalg.norm(p) >= 1e-3)
+ETA = st.tuples(st.floats(-0.5, 0.5), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
 
 
-def test_boxplus_bearing_stays_unit():
-    rng = np.random.default_rng(24)
-    for _ in range(1000):
-        rho = rng.standard_normal(3)
-        rho /= np.linalg.norm(rho)
-        sp = SphericalPoint(1.0 + rng.random(), rho)
-        eta = rng.standard_normal(3)
-        eta[0] = 0.5 * rng.random()
-        out = sphere_boxplus(sp, eta)
-        assert np.isclose(np.linalg.norm(out.rho), 1.0, atol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(POINT, min_size=1, max_size=8))
+def test_boxplus_zero_perturbation(points):
+    points = np.array(points)
+    out = apply_spherical_noise(points, np.zeros_like(points))
+    assert np.abs(out - points).max() <= 1e-14 * np.abs(points).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(POINT, ETA), min_size=1, max_size=8))
+def test_boxplus_bearing_stays_unit(pairs):
+    points, eta = (np.array(v) for v in zip(*pairs))
+    moved = np.linalg.norm(points, axis=-1) + eta[:, 0]
+    assume((moved > 1e-3).all())
+    out = apply_spherical_noise(points, eta)
+    assert np.abs(np.linalg.norm(out, axis=-1) / moved - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(POINT, ETA), min_size=1, max_size=8))
+def test_noise_stack_equals_single_calls(pairs):
+    points, eta = (np.array(v) for v in zip(*pairs))
+    assume((np.linalg.norm(points, axis=-1) + eta[:, 0] > 0.0).all())
+    out = apply_spherical_noise(points, eta)
+    for i in range(len(points)):
+        assert np.abs(out[i] - apply_spherical_noise(points[i], eta[i])).max() <= 1e-15
 
 
 def test_boxplus_pure_range():
-    sp = SphericalPoint(2.0, np.array([1.0, 0.0, 0.0]))
-    out = sphere_boxplus(sp, np.array([0.5, 0.0, 0.0]))
-    assert np.isclose(out.kappa, 2.5)
-    assert np.allclose(out.rho, [1.0, 0.0, 0.0])
+    out = apply_spherical_noise([2.0, 0.0, 0.0], [0.5, 0.0, 0.0])
+    assert np.abs(out - [2.5, 0.0, 0.0]).max() <= 1e-15
 
 
-def test_boxplus_negative_range_rejected():
-    sp = SphericalPoint(0.3, np.array([0.0, 1.0, 0.0]))
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(POINT, ETA), min_size=0, max_size=6),
+       at=st.integers(0, 6))
+def test_boxplus_negative_range_rejected(pairs, at):
+    stack = np.array(pairs, dtype=float).reshape(-1, 2, 3)
+    points, eta = stack[:, 0], stack[:, 1]
+    eta[:, 0] = np.abs(eta[:, 0])
+    at = min(at, len(points))
+    points = np.insert(points, at, [0.0, 0.3, 0.0], axis=0)
+    eta = np.insert(eta, at, [-0.5, 0.0, 0.0], axis=0)
     with pytest.raises(ValueError, match="negative range"):
-        sphere_boxplus(sp, np.array([-0.5, 0.0, 0.0]))
+        apply_spherical_noise(points, eta)

@@ -6,10 +6,11 @@ the error coordinates (9 nav + 9 bias + 6 extrinsic + 6 per clone).  All
 operations take a belief and return a successor; beliefs are never mutated,
 so independent runs can share nothing and proceed in parallel.
 
-Process noise is a 25x25 matrix of continuous-time densities over the input
-vector (10 navigation slots, 9 bias drive, 6 calibration drive); the
-propagation injects B Q B^T / dt, which scales the net noise with dt as the
-densities require.  The unit input slot carries no noise.
+Propagation moves only the 24 core states; clones are static.  Process
+noise is a 25x25 matrix of continuous-time densities over the input vector
+(10 navigation slots, 9 bias drive, 6 calibration drive); the propagation
+injects B Q B^T / dt into the core, which scales the net noise with dt as
+the densities require.  The unit input slot carries no noise.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ def initialize(xi_init: SystemState, cov_init) -> FilterBelief:
 
 
 def estimated_state(belief: FilterBelief) -> SystemState:
-    origin = identity_state(belief.n_clones, belief.stamps)
-    return state_action(belief.sym, origin)
+    return state_action(belief.sym, identity_state(belief.n_clones, belief.stamps))
 
 
 _GRAVITY_STEP_CACHE: dict = {}
@@ -128,14 +128,14 @@ def _gravity_step(dt: float, gravity) -> tuple[np.ndarray, np.ndarray]:
 
 def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
                          dt: float, gravity=GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete-time error transition matrix and input noise matrix.
+    """Discrete-time error transition matrix (24x24) and input noise matrix
+    (24x25) of the core: navigation, biases and extrinsics.
 
     Both are analytic: the error propagation factors into the adjoints of the
     gravity increment and the origin-input increment plus left-Jacobian terms,
-    so no numerical differentiation is needed.  Clone blocks are identity in
-    the transition and zero in the noise matrix.
+    so no numerical differentiation is needed.  On the static clones the
+    transition is the identity and the noise is zero.
     """
-    k = X.n_clones
     grav_exp, grav_adj = _gravity_step(dt, gravity)
     input_exp = Gal3.exp(dt * origin_input.nav)
     input_jl = Gal3.left_jacobian(dt * origin_input.nav)
@@ -146,8 +146,7 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
     a1 = gamma @ input_jl[0:9, 0:9] * dt
     a2 = SE3.adjoint(project_group(Gal3, SE3, grav_exp @ input_exp))
 
-    dof = 24 + 6 * k
-    A = np.eye(dof)
+    A = np.eye(24)
     A[0:9, 0:9] = gamma
     A[0:9, 9:18] = a1
     A[9:18, 9:18] = gamma @ upsilon
@@ -158,7 +157,7 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
     b1 = -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav)))[0:9] * dt
     b2 = -a2 @ SE3.left_jacobian(dt * origin_input.mu) @ SE3.adjoint(X.cal) * dt
 
-    B = np.zeros((dof, 25))
+    B = np.zeros((24, 25))
     B[0:9, 0:10] = b1
     B[9:18, 10:19] = gamma @ upsilon @ SE23.adjoint(X.nav) * dt
     B[18:24, 0:10] = b1[rot_pos]
@@ -169,15 +168,18 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
 def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
               dt_max: float = 0.1, gravity=GRAVITY) -> FilterBelief:
     """One prediction step: covariance through the analytic matrices, mean
-    through the lifted dynamics."""
+    through the lifted dynamics.  A P A^T acts on the core rows, then the
+    core columns; the clone-clone block is left as it is."""
     if not 0.0 < dt <= dt_max:
         raise ValueError(f"bad timestep {dt}")
-    origin = identity_state(belief.n_clones, belief.stamps)
-    origin_input = input_action(group_inverse(belief.sym), u)
+    origin_input = input_action(group_inverse(belief.sym._replace(clones=())), u)
     A, B = propagation_matrices(origin_input, belief.sym, dt, gravity)
-    cov = A @ belief.cov @ A.T + (B @ Q @ B.T) / dt
+    cov = belief.cov.copy()
+    cov[:24] = A @ cov[:24]
+    cov[:, :24] = cov[:, :24] @ A.T
+    cov[:24, :24] += (B @ Q @ B.T) / dt
     cov = 0.5 * (cov + cov.T)
-    sym = lifted_step(belief.sym, origin, u, dt, gravity)
+    sym = lifted_step(belief.sym, u, dt, gravity)
     return belief._replace(sym=sym, cov=cov)
 
 
@@ -223,8 +225,9 @@ def update_doppler(belief: FilterBelief, detections, gyro,
     detections = list(detections)
     if not detections:
         raise ValueError("empty scan")
-    xi_hat = estimated_state(belief)
-    origin_input = input_action(group_inverse(belief.sym),
+    core = belief.sym._replace(clones=())   # the Doppler output reads no clone
+    xi_hat = state_action(core, identity_state())
+    origin_input = input_action(group_inverse(core),
                                 SystemInput.from_imu(gyro, np.zeros(3)))
     points = np.array([det.point for det in detections])
     measured = np.array([det.doppler for det in detections])

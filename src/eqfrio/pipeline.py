@@ -25,7 +25,7 @@ from .filter import (
     FilterBelief,
     clone_augment,
     clone_marginalize,
-    estimated_state,
+    estimated_state,  # unused here; perfbench/tracer.py wraps pipeline.estimated_state
     initialize,
     process_noise,
     propagate,
@@ -242,11 +242,6 @@ class RunResult(NamedTuple):
     final_belief: FilterBelief
 
 
-def _pose_cov_block(cov: np.ndarray) -> np.ndarray:
-    idx = np.concatenate([np.arange(0, 3), np.arange(6, 9)])
-    return cov[np.ix_(idx, idx)]
-
-
 def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                settings: RunSettings, cal_rot_truth=None) -> RunResult:
     """Drive the filter over one dataset.  Timestamps must be monotone;
@@ -271,20 +266,14 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
     events.sort(key=lambda e: (e[0], e[1]))
 
     clone_points: list[dict] = []   # per clone: feature id -> observed point
-    out_t, out_rot, out_vel, out_pos, out_cov, out_ang = [], [], [], [], [], []
+    rows = {}   # time -> (nav, pose covariance, mount error); last one wins
+    pose_idx = np.ix_(np.r_[0:3, 6:9], np.r_[0:3, 6:9])
 
     def record(t):
-        est = estimated_state(belief)
-        row = (t, est.attitude(), est.velocity(), est.position(),
-               _pose_cov_block(belief.cov),
-               np.nan if S_true is None else
-               calibration_error(S_true, est.cal[0:3, 0:3]))
-        if out_t and out_t[-1] == t:
-            for lst, val in zip((out_t, out_rot, out_vel, out_pos, out_cov, out_ang), row):
-                lst[-1] = val
-        else:
-            for lst, val in zip((out_t, out_rot, out_vel, out_pos, out_cov, out_ang), row):
-                lst.append(val)
+        nav, cal = belief.sym.nav, belief.sym.cal   # estimated pose = nav
+        rows[t] = (nav, belief.cov[pose_idx],
+                   np.nan if S_true is None else
+                   calibration_error(S_true, nav[0:3, 0:3].T @ cal[0:3, 0:3]))
 
     last_input, last_time = None, None   # zero-order-held IMU record
     for t, kind, idx in events:
@@ -342,13 +331,15 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                 clone_points.append({fid: det.point for fid, det in tracked.items()})
         record(t)
 
+    navs, covs, angles = (np.array([row[i] for row in rows.values()]) for i in range(3))
+    navs = navs.reshape(-1, 5, 5)
     return RunResult(
-        times=np.asarray(out_t),
-        est_rot=np.stack(out_rot) if out_rot else np.zeros((0, 3, 3)),
-        est_vel=np.stack(out_vel) if out_vel else np.zeros((0, 3)),
-        est_pos=np.stack(out_pos) if out_pos else np.zeros((0, 3)),
-        pose_cov=np.stack(out_cov) if out_cov else np.zeros((0, 6, 6)),
-        e_angle=None if S_true is None else np.asarray(out_ang),
+        times=np.array(list(rows), dtype=float),
+        est_rot=navs[:, 0:3, 0:3],
+        est_vel=navs[:, 0:3, 3],
+        est_pos=navs[:, 0:3, 4],
+        pose_cov=covs.reshape(-1, 6, 6),
+        e_angle=None if S_true is None else angles,
         final_belief=belief,
     )
 
@@ -476,6 +467,16 @@ def _montecarlo_job(args):
     return out
 
 
+def _failure(job, exc: Exception) -> dict:
+    """A failed job's arguments, exception and traceback; a pooled job's
+    traceback includes the worker's, chained on as the exception's cause."""
+    import traceback
+
+    return {"seed": job[3], "perturbation": job[4], "use_msc": job[5],
+            "type": type(exc).__name__, "error": str(exc),
+            "traceback": "".join(traceback.format_exception(exc))}
+
+
 def montecarlo(sim_values: dict, run_values: dict, seeds, perturbations,
                use_msc: bool | None = None, max_workers: int | None = None,
                sim_seen=None):
@@ -495,15 +496,13 @@ def montecarlo(sim_values: dict, run_values: dict, seeds, perturbations,
                 try:
                     results.append(fut.result())
                 except Exception as exc:
-                    failures.append({"seed": job[3], "perturbation": job[4],
-                                     "error": str(exc)})
+                    failures.append(_failure(job, exc))
     else:
         for job in jobs:
             try:
                 results.append(_montecarlo_job(job))
             except Exception as exc:
-                failures.append({"seed": job[3], "perturbation": job[4],
-                                 "error": str(exc)})
+                failures.append(_failure(job, exc))
     table = []
     for label in perturbations:
         rows = [r for r in results if r["perturbation"] == label]

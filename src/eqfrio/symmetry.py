@@ -319,28 +319,24 @@ def lift(xi: SystemState, u: SystemInput, dt: float, gravity=GRAVITY) -> Symmetr
     )
 
 
-def lifted_step(X: SymmetryElement, origin: SystemState, u: SystemInput,
-                dt: float, gravity=GRAVITY) -> SymmetryElement:
-    """One step of the lifted dynamics on the group, anchored at origin.
+def lifted_step(X: SymmetryElement, u: SystemInput, dt: float,
+                gravity=GRAVITY) -> SymmetryElement:
+    """One step of the lifted dynamics on the group, anchored at the
+    identity origin.  Clones are static: their transports are kept as is.
 
     Equals composing X with the lift at the current estimate, but the
     extrinsic slot is evaluated in the rearranged form
-    origin.cal^-1 * pose-projection(nav+) * estimated-extrinsic * exp(mu dt):
-    the direct product X.cal @ lift(...).cal sandwiches the lift between the
-    extrinsic factor and its inverse, which doubles any off-orthonormal
-    rounding error in that factor every step and diverges geometrically on
-    long runs.  The rearrangement touches the factor once, so rounding error
-    only accumulates linearly.
+    pose-projection(nav+) * estimated-extrinsic * exp(mu dt): the direct
+    product X.cal @ lift(...).cal sandwiches the lift between the extrinsic
+    factor and its inverse, which doubles any off-orthonormal rounding error
+    in that factor every step and diverges geometrically on long runs.  The
+    rearrangement touches the factor once, so rounding error only
+    accumulates linearly.
     """
-    est = state_action(X, origin)
+    est = state_action(X._replace(clones=()), identity_state())
     L = lift(est, u, dt, gravity)
     nav, shift = TangentSE23.compose((X.nav, X.bias_shift), (L.nav, L.bias_shift))
-    cal = (
-        SE3.inverse(origin.cal)
-        @ project_group(SE23, SE3, nav)
-        @ est.cal
-        @ SE3.exp(dt * u.mu)
-    )
+    cal = project_group(SE23, SE3, nav) @ est.cal @ SE3.exp(dt * u.mu)
     return SymmetryElement(nav=nav, bias_shift=shift, cal=cal, clones=X.clones)
 
 

@@ -75,3 +75,15 @@ def assert_close(actual, desired, rtol, label=""):
     scale = max(np.linalg.norm(desired), 1e-12)
     err = np.linalg.norm(actual - desired) / scale
     assert err <= rtol, f"{label} relative error {err:.3e} > {rtol:.1e}"
+
+
+def embed_core(A, B, k):
+    """The (24+6k)-dimensional transition and noise matrices of a 24-state
+    core A (24x24) and B (24x25): identity on the clone blocks, zero noise
+    there, as the clones are static."""
+    dof = 24 + 6 * k
+    A_full = np.eye(dof)
+    A_full[0:24, 0:24] = A
+    B_full = np.zeros((dof, B.shape[1]))
+    B_full[0:24] = B
+    return A_full, B_full

@@ -38,6 +38,7 @@ from eqfrio.symmetry import (
 from helpers import (
     assert_close,
     central_difference,
+    embed_core,
     left_jacobian_quadrature_oracle,
     random_coords,
 )
@@ -117,8 +118,8 @@ def test_criterion_3_linearizations():
         u0 = input_action(group_inverse(X_hat), u)
         dof = 24 + 6 * k
 
-        A, B = propagation_matrices(u0, X_hat, dt)
-        X_next = lifted_step(X_hat, origin, u, dt)
+        A, B = embed_core(*propagation_matrices(u0, X_hat, dt), k)
+        X_next = lifted_step(X_hat, u, dt)
         xi_next = discrete_dynamics(state_action(X_hat, origin), u, dt)
 
         def error_step(eps):
@@ -134,7 +135,7 @@ def test_criterion_3_linearizations():
             nav[0:9] += eta[0:9]
             u_noisy = SystemInput(nav=nav, tau=u.tau + eta[9:18],
                                   mu=u.mu + eta[18:24])
-            return error_coordinates(lifted_step(X_hat, origin, u_noisy, dt),
+            return error_coordinates(lifted_step(X_hat, u_noisy, dt),
                                      xi_next, origin)
 
         cols = list(range(9)) + list(range(10, 25))

@@ -194,3 +194,26 @@ def test_montecarlo_workers_run_blas_on_one_thread():
         workers = [job.result() for job in [pool.submit(_blas_threads) for _ in range(2)]]
     assert workers == [[1] * len(parent)] * 2
     assert _blas_threads() == parent
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_montecarlo_failure_names_type_and_traceback(workers):
+    # a bad perturbation label fails each job in parse_perturbation; serially
+    # and in worker processes alike the failure names the exception type, its
+    # message, the job's arguments and the traceback of the failing call
+    sim_values = {k: v for k, (_, v) in pipeline.SIM_SCHEMA.items()}
+    sim_values.update({"preset": "hover", "duration": 0.5, "landmarks.count": 5})
+    run_values = {k: v for k, (_, v) in pipeline.RUN_SCHEMA.items()}
+    summary = pipeline.montecarlo(sim_values, run_values, [4, 5], ["y:80"],
+                                  use_msc=False, max_workers=workers)
+    assert summary["runs"] == []
+    assert summary["rows"] == [{"perturbation": "y:80", "runs": 0}]
+    assert [f["seed"] for f in summary["failures"]] == [4, 5]
+    for failure in summary["failures"]:
+        assert failure["perturbation"] == "y:80"
+        assert failure["use_msc"] is False
+        assert failure["type"] == "ConfigError"
+        assert "needs a deg/rad suffix" in failure["error"]
+        assert "parse_perturbation" in failure["traceback"]
+        assert "ConfigError: perturbation angle" in failure["traceback"]
+    json.dumps(summary)

@@ -43,7 +43,7 @@ from eqfrio.symmetry import (
     lifted_step,
     state_action,
 )
-from helpers import assert_close, central_difference, random_element
+from helpers import assert_close, central_difference, embed_core, random_element
 from test_symmetry import random_group, random_input, random_state
 
 
@@ -103,13 +103,13 @@ def test_matrices_zero_step_limit():
     rng = np.random.default_rng(82)
     X = random_group(rng)
     u0 = random_input(rng)
-    A, B = propagation_matrices(u0, X, 1e-14)
+    A, B = embed_core(*propagation_matrices(u0, X, 1e-14), 0)
     assert np.allclose(A, np.eye(24), atol=1e-10)
     assert np.allclose(B, 0.0, atol=1e-10)
 
 
 def _error_step_map(X_hat, u, dt, origin):
-    X_next = lifted_step(X_hat, origin, u, dt)
+    X_next = lifted_step(X_hat, u, dt)
 
     def step(eps):
         xi = state_action(group_compose(error_inverse(eps), X_hat), origin)
@@ -128,7 +128,7 @@ def test_state_matrix_finite_difference(k):
         X_hat = random_group(rng, k)
         u = random_input(rng)
         u0 = input_action(group_inverse(X_hat), u)
-        A, _ = propagation_matrices(u0, X_hat, dt)
+        A, _ = embed_core(*propagation_matrices(u0, X_hat, dt), k)
         fd = central_difference(_error_step_map(X_hat, u, dt, origin),
                                 np.zeros(24 + 6 * k), step=1e-6)
         assert_close(A, fd, 1e-4, "state transition matrix")
@@ -143,7 +143,7 @@ def test_input_matrix_finite_difference(k):
         X_hat = random_group(rng, k)
         u = random_input(rng)
         u0 = input_action(group_inverse(X_hat), u)
-        _, B = propagation_matrices(u0, X_hat, dt)
+        _, B = embed_core(*propagation_matrices(u0, X_hat, dt), k)
         xi = state_action(X_hat, origin)
         xi_next = discrete_dynamics(xi, u, dt)
 
@@ -154,7 +154,7 @@ def test_input_matrix_finite_difference(k):
             nav[0:9] += eta[0:9]
             u_noisy = SystemInput(nav=nav, tau=u.tau + eta[9:18],
                                   mu=u.mu + eta[18:24])
-            X_next = lifted_step(X_hat, origin, u_noisy, dt)
+            X_next = lifted_step(X_hat, u_noisy, dt)
             return error_coordinates(X_next, xi_next, origin)
 
         fd = central_difference(noisy_error, np.zeros(24), step=1e-6)
@@ -162,18 +162,40 @@ def test_input_matrix_finite_difference(k):
         assert_close(B[:, cols], fd, 1e-4, "input noise matrix")
 
 
-def test_clone_blocks_identity_and_zero():
-    rng = np.random.default_rng(85)
-    X = random_group(rng, 2)
-    u0 = random_input(rng)
-    A, B = propagation_matrices(u0, X, 0.02)
-    assert np.allclose(A[24:, 24:], np.eye(12))
-    assert np.allclose(A[24:, 0:24], 0.0)
-    assert np.allclose(A[0:24, 24:], 0.0)
-    assert np.allclose(B[24:, :], 0.0)
-
-
 # --- propagation ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 3, 10])
+def test_propagate_matches_dense_reference(k):
+    # the block update equals the dense A P A^T + B Q B^T / dt over all
+    # 24 + 6k coordinates, whose A is the identity and B zero on the clones
+    rng = np.random.default_rng(85)
+    Q = process_noise(gyro=0.01, accel=0.1, virtual_velocity=0.01, gyro_walk=1e-4,
+                      accel_walk=1e-3, virtual_walk=1e-4, cal_rot_walk=1e-3,
+                      cal_pos_walk=1e-3)
+    dt = 0.02
+    for _ in range(5):
+        belief = random_belief(rng, k)
+        u = random_input(rng)
+        u0 = input_action(group_inverse(belief.sym), u)
+        A, B = propagation_matrices(u0, belief.sym, dt)
+        assert A.shape == (24, 24) and B.shape == (24, 25)
+        A_full, B_full = embed_core(A, B, k)
+        dense = A_full @ belief.cov @ A_full.T + (B_full @ Q @ B_full.T) / dt
+        dense = 0.5 * (dense + dense.T)
+
+        out = propagate(belief, u, dt, Q)
+        assert np.array_equal(out.cov[24:, 24:], dense[24:, 24:])
+        assert np.array_equal(out.cov[24:, 24:], belief.cov[24:, 24:])
+        assert np.array_equal(out.cov, out.cov.T)
+        assert_close(out.cov, dense, 1e-12, "covariance")
+        # the mean: one step of the dynamics at the estimate, clones static
+        est, expected = estimated_state(out), discrete_dynamics(estimated_state(belief), u, dt)
+        assert np.allclose(est.pose, expected.pose, atol=1e-9)
+        assert np.allclose(est.bias, expected.bias, atol=1e-9)
+        assert np.allclose(est.cal, expected.cal, atol=1e-9)
+        assert out.sym.clones is belief.sym.clones
+        assert all(np.array_equal(P, F) for P, F in zip(est.clones, expected.clones))
+
 
 def test_propagate_noise_free_tracking():
     rng = np.random.default_rng(86)

@@ -279,7 +279,7 @@ def test_lifted_step_consistency():
     for _ in range(100):
         X = random_group(rng, 1)
         u = random_input(rng)
-        X_next = lifted_step(X, origin, u, 0.01)
+        X_next = lifted_step(X, u, 0.01)
         lhs = state_action(X_next, origin)
         rhs = discrete_dynamics(state_action(X, origin), u, 0.01)
         states_close(lhs, rhs, tol=1e-9)
@@ -289,19 +289,18 @@ def test_lifted_step_from_identity():
     rng = np.random.default_rng(47)
     origin = identity_state()
     u = random_input(rng)
-    X_next = lifted_step(group_identity(), origin, u, 0.02)
+    X_next = lifted_step(group_identity(), u, 0.02)
     groups_close(X_next, lift(origin, u, 0.02), tol=1e-12)
 
 
 def test_lifted_step_halving_is_second_order():
     rng = np.random.default_rng(48)
-    origin = identity_state()
     X = random_group(rng)
     u = random_input(rng)
 
     def defect(dt):
-        one = lifted_step(X, origin, u, dt)
-        half = lifted_step(lifted_step(X, origin, u, dt / 2), origin, u, dt / 2)
+        one = lifted_step(X, u, dt)
+        half = lifted_step(lifted_step(X, u, dt / 2), u, dt / 2)
         return np.linalg.norm(one.nav - half.nav) + np.linalg.norm(
             one.bias_shift - half.bias_shift
         )

@@ -32,7 +32,6 @@ from .symmetry import (
     identity_state,
     input_action,
     lift,
-    lifted_step,
     state_action,
     state_action_inverse,
 )

@@ -6,11 +6,14 @@ the error coordinates (9 nav + 9 bias + 6 extrinsic + 6 per clone).  All
 operations take a belief and return a successor; beliefs are never mutated,
 so independent runs can share nothing and proceed in parallel.
 
-Propagation moves only the 24 core states; clones are static.  Process
-noise is a 25x25 matrix of continuous-time densities over the input vector
-(10 navigation slots, 9 bias drive, 6 calibration drive); the propagation
-injects B Q B^T / dt into the core, which scales the net noise with dt as
-the densities require.  The unit input slot carries no noise.
+Propagation (`propagation_step`) composes the estimate with the `lift` of
+the dynamics at the identity origin and forms the analytic error matrices
+from the same Galilean exponential.  It moves only the 24 core states;
+clones are static.  Process noise is a 25x25 matrix of continuous-time
+densities over the input vector (10 navigation slots, 9 bias drive, 6
+calibration drive); the propagation injects B Q B^T / dt into the core,
+which scales the net noise with dt as the densities require.  The unit
+input slot carries no noise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import SE3, SE23, Gal3, project_group
+from .lie import SE3, SE23, Gal3, project_algebra, project_group
 from .measurements import (
     DopplerNoiseSpec,
     doppler_model,
@@ -38,7 +41,6 @@ from .symmetry import (
     group_inverse,
     identity_state,
     input_action,
-    lifted_step,
     state_action,
     state_action_inverse,
 )
@@ -126,19 +128,39 @@ def _gravity_step(dt: float, gravity) -> tuple[np.ndarray, np.ndarray]:
     return hit
 
 
-def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
-                         dt: float, gravity=GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete-time error transition matrix (24x24) and input noise matrix
-    (24x25) of the core: navigation, biases and extrinsics.
+def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
+                     gravity=GRAVITY) -> tuple[SymmetryElement, np.ndarray, np.ndarray]:
+    """One fused prediction step: the next group element, and the error
+    transition matrix A (24x24) and input noise matrix B (24x25) of the
+    core (navigation, biases, extrinsics).
 
-    Both are analytic: the error propagation factors into the adjoints of the
-    gravity increment and the origin-input increment plus left-Jacobian terms,
-    so no numerical differentiation is needed.  On the static clones the
-    transition is the identity and the noise is zero.
+    The mean equals group_compose(X, lift(est, u, dt)) in exact arithmetic,
+    with est = state_action(X, identity_state()) and the clones kept.  With
+    D = X.nav, b and T the estimated biases and extrinsic, E the Galilean
+    exponential of the bias-corrected input and G the gravity increment:
+    nav+ = G D E, shift+ = -Ad(nav+)(b + tau dt), cal+ = pose(nav+) T exp(mu dt).
+    That touches each factor once; the product X.cal @ lift(...).cal would
+    sandwich the lift between the extrinsic factor and its inverse, doubling
+    its off-orthonormal rounding error every step.  A and B are analytic:
+    adjoints of G and of the origin-input increment D E D^-1, plus left
+    Jacobians.  On the static clones they are the identity and zero.
     """
     grav_exp, grav_adj = _gravity_step(dt, gravity)
-    input_exp = Gal3.exp(dt * origin_input.nav)
-    input_jl = Gal3.left_jacobian(dt * origin_input.nav)
+    nav_inv = SE23.inverse(X.nav)
+    bias = SE23.adjoint(nav_inv) @ -X.bias_shift              # estimated biases
+    cal_est = project_group(SE23, SE3, nav_inv) @ X.cal       # estimated extrinsic
+    corrected = u.nav - project_algebra(SE23, Gal3, bias)
+    nav_g = project_group(SE23, Gal3, X.nav)
+    step = nav_g @ Gal3.exp(dt * corrected)
+    nav = project_group(Gal3, SE23, grav_exp @ step)
+    shift = -(SE23.adjoint(nav) @ (bias + dt * u.tau))
+    cal = project_group(SE23, SE3, nav) @ cal_est @ SE3.exp(dt * u.mu)
+    X_next = SymmetryElement(nav=nav, bias_shift=shift, cal=cal, clones=X.clones)
+
+    ad_nav = Gal3.adjoint(nav_g)
+    ad_cal = SE3.adjoint(X.cal)
+    input_exp = step @ project_group(SE23, Gal3, nav_inv)    # exp(dt w) = D E D^-1
+    input_jl = Gal3.left_jacobian(dt * (ad_nav @ corrected))  # origin input w
 
     rot_pos = np.r_[0:3, 6:9]     # the (rotation, position) rows of a nav block
     gamma = grav_adj[0:9, 0:9]
@@ -154,32 +176,30 @@ def propagation_matrices(origin_input: SystemInput, X: SymmetryElement,
     A[18:24, 9:18] = a1[rot_pos]
     A[18:24, 18:24] = a2
 
-    b1 = -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav)))[0:9] * dt
-    b2 = -a2 @ SE3.left_jacobian(dt * origin_input.mu) @ SE3.adjoint(X.cal) * dt
+    b1 = -(grav_adj @ input_jl @ ad_nav)[0:9] * dt
+    b2 = -a2 @ SE3.left_jacobian(dt * (ad_cal @ u.mu)) @ ad_cal * dt
 
     B = np.zeros((24, 25))
     B[0:9, 0:10] = b1
-    B[9:18, 10:19] = gamma @ upsilon @ SE23.adjoint(X.nav) * dt
+    B[9:18, 10:19] = gamma @ upsilon @ ad_nav[0:9, 0:9] * dt
     B[18:24, 0:10] = b1[rot_pos]
     B[18:24, 19:25] = b2
-    return A, B
+    return X_next, A, B
 
 
 def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
               dt_max: float = 0.1, gravity=GRAVITY) -> FilterBelief:
-    """One prediction step: covariance through the analytic matrices, mean
-    through the lifted dynamics.  A P A^T acts on the core rows, then the
-    core columns; the clone-clone block is left as it is."""
+    """One prediction step: mean and covariance through propagation_step.
+    A P A^T acts on the core rows, then the core columns; the clone-clone
+    block is left as it is."""
     if not 0.0 < dt <= dt_max:
         raise ValueError(f"bad timestep {dt}")
-    origin_input = input_action(group_inverse(belief.sym._replace(clones=())), u)
-    A, B = propagation_matrices(origin_input, belief.sym, dt, gravity)
+    sym, A, B = propagation_step(belief.sym, u, dt, gravity)
     cov = belief.cov.copy()
     cov[:24] = A @ cov[:24]
     cov[:, :24] = cov[:, :24] @ A.T
     cov[:24, :24] += (B @ Q @ B.T) / dt
     cov = 0.5 * (cov + cov.T)
-    sym = lifted_step(belief.sym, u, dt, gravity)
     return belief._replace(sym=sym, cov=cov)
 
 

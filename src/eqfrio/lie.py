@@ -222,11 +222,6 @@ class SE3:
         return X[0:3, 0:3], X[0:3, 3]
 
     @staticmethod
-    def apply(X, p) -> np.ndarray:
-        R, t = SE3.components(X)
-        return R @ np.asarray(p, dtype=float) + t
-
-    @staticmethod
     def wedge(v) -> np.ndarray:
         v = _check_coords("se3", v, 6)
         W = np.zeros((4, 4))

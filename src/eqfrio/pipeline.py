@@ -240,13 +240,15 @@ class RunResult(NamedTuple):
     pose_cov: np.ndarray      # (M, 6, 6) rotation/position error block
     e_angle: np.ndarray | None
     final_belief: FilterBelief
+    skipped_updates: int = 0   # update calls that left the belief as it was
 
 
 def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                settings: RunSettings, cal_rot_truth=None) -> RunResult:
     """Drive the filter over one dataset.  Timestamps must be monotone;
     violations abort with the offending record.  A scan with no detections
-    is skipped, as it has no row in radar.csv."""
+    is skipped, as it has no row in radar.csv.  Updates that change nothing
+    (singular innovation covariance, every row gated) are counted."""
     times = np.asarray(times, dtype=float)
     scans = [scan for scan in scans if scan.detections]
     belief = initialize(xi0, cov0)
@@ -276,6 +278,7 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                    calibration_error(S_true, nav[0:3, 0:3].T @ cal[0:3, 0:3]))
 
     last_input, last_time = None, None   # zero-order-held IMU record
+    updates = skipped = 0
     for t, kind, idx in events:
         if kind == 0:
             if last_time is not None and t > last_time:
@@ -295,8 +298,10 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
         gyro_now = last_input.gyro
 
         if settings.use_doppler:
-            belief = update_doppler(belief, scan.detections, gyro_now,
-                                    settings.noise_spec, settings.gate_doppler)
+            updated = update_doppler(belief, scan.detections, gyro_now,
+                                     settings.noise_spec, settings.gate_doppler)
+            updates, skipped = updates + 1, skipped + (updated is belief)
+            belief = updated
 
         tracked = {d.feature_id: d for d in scan.detections if d.feature_id >= 0}
         if settings.use_msc:
@@ -311,8 +316,10 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                         fid, ci, tracked[fid].point, clone_points[ci][fid]))
                     matched.add(fid)
             if matches:
-                belief = update_msc(belief, matches, settings.noise_spec,
-                                    settings.gate_msc)
+                updated = update_msc(belief, matches, settings.noise_spec,
+                                     settings.gate_msc)
+                updates, skipped = updates + 1, skipped + (updated is belief)
+                belief = updated
 
             # lifecycle: shrink to still-visible features, evict exhausted
             for ci in reversed(range(belief.n_clones)):
@@ -331,6 +338,12 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                 clone_points.append({fid: det.point for fid, det in tracked.items()})
         record(t)
 
+    if skipped:
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%d of %d updates skipped (singular innovation covariance or every "
+            "row gated)", skipped, updates)
     navs, covs, angles = (np.array([row[i] for row in rows.values()]) for i in range(3))
     navs = navs.reshape(-1, 5, 5)
     return RunResult(
@@ -341,6 +354,7 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
         pose_cov=covs.reshape(-1, 6, 6),
         e_angle=None if S_true is None else angles,
         final_belief=belief,
+        skipped_updates=skipped,
     )
 
 

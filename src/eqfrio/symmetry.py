@@ -131,15 +131,6 @@ class SymmetryElement(NamedTuple):
         return len(self.clones)
 
 
-def group_identity(n_clones: int = 0) -> SymmetryElement:
-    return SymmetryElement(
-        nav=np.eye(5),
-        bias_shift=np.zeros(9),
-        cal=np.eye(4),
-        clones=tuple(np.eye(4) for _ in range(n_clones)),
-    )
-
-
 def group_compose(X: SymmetryElement, Y: SymmetryElement) -> SymmetryElement:
     if X.n_clones != Y.n_clones:
         raise ValueError("clone count mismatch")
@@ -317,27 +308,6 @@ def lift(xi: SystemState, u: SystemInput, dt: float, gravity=GRAVITY) -> Symmetr
         cal=cal_inv @ project_group(SE23, SE3, nav) @ xi.cal @ SE3.exp(dt * u.mu),
         clones=tuple(np.eye(4) for _ in xi.clones),
     )
-
-
-def lifted_step(X: SymmetryElement, u: SystemInput, dt: float,
-                gravity=GRAVITY) -> SymmetryElement:
-    """One step of the lifted dynamics on the group, anchored at the
-    identity origin.  Clones are static: their transports are kept as is.
-
-    Equals composing X with the lift at the current estimate, but the
-    extrinsic slot is evaluated in the rearranged form
-    pose-projection(nav+) * estimated-extrinsic * exp(mu dt): the direct
-    product X.cal @ lift(...).cal sandwiches the lift between the extrinsic
-    factor and its inverse, which doubles any off-orthonormal rounding error
-    in that factor every step and diverges geometrically on long runs.  The
-    rearrangement touches the factor once, so rounding error only
-    accumulates linearly.
-    """
-    est = state_action(X._replace(clones=()), identity_state())
-    L = lift(est, u, dt, gravity)
-    nav, shift = TangentSE23.compose((X.nav, X.bias_shift), (L.nav, L.bias_shift))
-    cal = project_group(SE23, SE3, nav) @ est.cal @ SE3.exp(dt * u.mu)
-    return SymmetryElement(nav=nav, bias_shift=shift, cal=cal, clones=X.clones)
 
 
 # --- error chart ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from eqfrio.lie import SO3
+from eqfrio.symmetry import SymmetryElement
 
 
 def random_coords(rng, group, rot_scale=1.0, lin_scale=1.0):
@@ -21,6 +22,16 @@ def random_element(rng, group, rot_scale=1.0, lin_scale=1.0):
 
 def random_rotation(rng, scale=1.0):
     return SO3.exp(scale * rng.standard_normal(3))
+
+
+def group_identity(n_clones=0):
+    """The identity of the symmetry group with n_clones clone slots."""
+    return SymmetryElement(
+        nav=np.eye(5),
+        bias_shift=np.zeros(9),
+        cal=np.eye(4),
+        clones=tuple(np.eye(4) for _ in range(n_clones)),
+    )
 
 
 def expm_oracle(group, coords):

@@ -14,11 +14,11 @@ from eqfrio.filter import (
     initialize,
     process_noise,
     propagate,
-    propagation_matrices,
+    propagation_step,
     update_doppler,
     update_msc,
 )
-from eqfrio.lie import SE3, SE23, SO3
+from eqfrio.lie import SE3, SE23, SO3, Gal3, project_group
 from eqfrio.measurements import (
     DopplerNoiseSpec,
     MatchObservation,
@@ -35,12 +35,12 @@ from eqfrio.symmetry import (
     discrete_dynamics,
     error_coordinates,
     error_inverse,
+    gravity_generator,
     group_compose,
-    group_identity,
     group_inverse,
     identity_state,
     input_action,
-    lifted_step,
+    lift,
     state_action,
 )
 from helpers import assert_close, central_difference, embed_core, random_element
@@ -102,14 +102,14 @@ def test_initialize_rejects_non_psd():
 def test_matrices_zero_step_limit():
     rng = np.random.default_rng(82)
     X = random_group(rng)
-    u0 = random_input(rng)
-    A, B = embed_core(*propagation_matrices(u0, X, 1e-14), 0)
+    u = random_input(rng)
+    A, B = embed_core(*propagation_step(X, u, 1e-14)[1:], 0)
     assert np.allclose(A, np.eye(24), atol=1e-10)
     assert np.allclose(B, 0.0, atol=1e-10)
 
 
 def _error_step_map(X_hat, u, dt, origin):
-    X_next = lifted_step(X_hat, u, dt)
+    X_next = propagation_step(X_hat, u, dt)[0]
 
     def step(eps):
         xi = state_action(group_compose(error_inverse(eps), X_hat), origin)
@@ -127,8 +127,7 @@ def test_state_matrix_finite_difference(k):
     for _ in range(40 if k == 0 else 20):
         X_hat = random_group(rng, k)
         u = random_input(rng)
-        u0 = input_action(group_inverse(X_hat), u)
-        A, _ = embed_core(*propagation_matrices(u0, X_hat, dt), k)
+        A, _ = embed_core(*propagation_step(X_hat, u, dt)[1:], k)
         fd = central_difference(_error_step_map(X_hat, u, dt, origin),
                                 np.zeros(24 + 6 * k), step=1e-6)
         assert_close(A, fd, 1e-4, "state transition matrix")
@@ -142,8 +141,7 @@ def test_input_matrix_finite_difference(k):
     for _ in range(40 if k == 0 else 20):
         X_hat = random_group(rng, k)
         u = random_input(rng)
-        u0 = input_action(group_inverse(X_hat), u)
-        _, B = embed_core(*propagation_matrices(u0, X_hat, dt), k)
+        _, B = embed_core(*propagation_step(X_hat, u, dt)[1:], k)
         xi = state_action(X_hat, origin)
         xi_next = discrete_dynamics(xi, u, dt)
 
@@ -154,12 +152,67 @@ def test_input_matrix_finite_difference(k):
             nav[0:9] += eta[0:9]
             u_noisy = SystemInput(nav=nav, tau=u.tau + eta[9:18],
                                   mu=u.mu + eta[18:24])
-            X_next = lifted_step(X_hat, u_noisy, dt)
+            X_next = propagation_step(X_hat, u_noisy, dt)[0]
             return error_coordinates(X_next, xi_next, origin)
 
         fd = central_difference(noisy_error, np.zeros(24), step=1e-6)
         cols = list(range(9)) + list(range(10, 25))
         assert_close(B[:, cols], fd, 1e-4, "input noise matrix")
+
+
+def _two_exponential_matrices(origin_input, X, dt):
+    """A and B built the long way: from the origin input and its own Gal(3)
+    exponential, next to the gravity increment's."""
+    grav_exp = Gal3.exp(-dt * gravity_generator())
+    grav_adj = Gal3.adjoint(grav_exp)
+    input_exp = Gal3.exp(dt * origin_input.nav)
+    input_jl = Gal3.left_jacobian(dt * origin_input.nav)
+
+    rot_pos = np.r_[0:3, 6:9]
+    gamma = grav_adj[0:9, 0:9]
+    upsilon = Gal3.adjoint(input_exp)[0:9, 0:9]
+    a1 = gamma @ input_jl[0:9, 0:9] * dt
+    a2 = SE3.adjoint(project_group(Gal3, SE3, grav_exp @ input_exp))
+
+    A = np.eye(24)
+    A[0:9, 0:9] = gamma
+    A[0:9, 9:18] = a1
+    A[9:18, 9:18] = gamma @ upsilon
+    A[18:24, 0:9] = (gamma - gamma @ upsilon)[rot_pos]
+    A[18:24, 9:18] = a1[rot_pos]
+    A[18:24, 18:24] = a2
+
+    b1 = -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav)))[0:9] * dt
+    b2 = -a2 @ SE3.left_jacobian(dt * origin_input.mu) @ SE3.adjoint(X.cal) * dt
+
+    B = np.zeros((24, 25))
+    B[0:9, 0:10] = b1
+    B[9:18, 10:19] = gamma @ upsilon @ SE23.adjoint(X.nav) * dt
+    B[18:24, 0:10] = b1[rot_pos]
+    B[18:24, 19:25] = b2
+    return A, B
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 10])
+@pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.1])
+def test_propagation_step_matches_lift(k, dt):
+    # the mean is X composed with the lift at its estimate, clones kept; A
+    # and B are those of the origin input's own exponential
+    rng = np.random.default_rng(93)
+    for _ in range(20):
+        X = random_group(rng, k)
+        u = random_input(rng)
+        X_next, A, B = propagation_step(X, u, dt)
+        expected = group_compose(X, lift(state_action(X, identity_state(k)), u, dt))
+        assert np.allclose(X_next.nav, expected.nav, rtol=0.0, atol=1e-12)
+        assert np.allclose(X_next.bias_shift, expected.bias_shift, rtol=0.0, atol=1e-12)
+        assert np.allclose(X_next.cal, expected.cal, rtol=0.0, atol=1e-12)
+        assert X_next.clones is X.clones
+        assert all(np.allclose(F, G, rtol=0.0, atol=1e-12)
+                   for F, G in zip(X_next.clones, expected.clones))
+        A_ref, B_ref = _two_exponential_matrices(input_action(group_inverse(X), u), X, dt)
+        assert_close(A, A_ref, 1e-12, "state transition matrix")
+        assert_close(B, B_ref, 1e-12, "input noise matrix")
 
 
 # --- propagation ---------------------------------------------------------------------
@@ -176,8 +229,7 @@ def test_propagate_matches_dense_reference(k):
     for _ in range(5):
         belief = random_belief(rng, k)
         u = random_input(rng)
-        u0 = input_action(group_inverse(belief.sym), u)
-        A, B = propagation_matrices(u0, belief.sym, dt)
+        _, A, B = propagation_step(belief.sym, u, dt)
         assert A.shape == (24, 24) and B.shape == (24, 25)
         A_full, B_full = embed_core(A, B, k)
         dense = A_full @ belief.cov @ A_full.T + (B_full @ Q @ B_full.T) / dt
@@ -433,8 +485,8 @@ def test_update_msc_zero_residual_at_truth():
     p_then = np.array([2.0, -1.0, 0.4])
     # noise-free re-observation: transform the clone point into the current
     # radar frame (clone equals the current radar pose here, so unchanged)
-    p_now = SE3.apply(SE3.inverse(est.radar_pose()),
-                      SE3.apply(est.clones[0], p_then))
+    T = SE3.inverse(est.radar_pose()) @ est.clones[0]
+    p_now = T[0:3, 0:3] @ p_then + T[0:3, 3]
     assert np.isclose(point_constraint_model(est, 0, p_then), np.linalg.norm(p_now))
     match = MatchObservation(7, 0, p_now, p_then)
     out = update_msc(belief, [match], DopplerNoiseSpec(0.0, 0.05, 0.01, 0.0))
@@ -627,3 +679,41 @@ def test_run_loop_skips_empty_scans():
     for name in ("times", "est_rot", "est_vel", "est_pos", "pose_cov"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
     assert np.array_equal(runs[0].final_belief.cov, runs[1].final_belief.cov)
+
+
+def test_run_loop_counts_skipped_updates(monkeypatch, caplog):
+    # zero radar noise, the run values' default, makes every innovation
+    # covariance singular on a noise-free simulation: each update call is
+    # skipped, counted and summed up in one warning; criterion-5 noise
+    # skips none
+    import logging
+
+    from eqfrio import pipeline
+    from eqfrio.simulator import TrajectorySpec
+
+    calls = []
+    for name in ("update_doppler", "update_msc"):
+        def counted(*args, _update=getattr(pipeline, name), **kwargs):
+            calls.append(_update)
+            return _update(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+
+    spec, config = pipeline.sim_setup_from_values(
+        {**{k: v for k, (_, v) in pipeline.SIM_SCHEMA.items()}, "duration": 2.0})
+    values = {k: v for k, (_, v) in pipeline.RUN_SCHEMA.items()}
+    values["perturb.calibration"] = "y:180deg"
+    with caplog.at_level(logging.WARNING):
+        _, result, _ = pipeline.simulate_and_run(spec, config, values)
+    assert result.skipped_updates == len(calls) > 0
+    summary = [r.getMessage() for r in caplog.records if r.name == "eqfrio.pipeline"]
+    assert len(summary) == 1
+    assert summary[0].startswith(f"{len(calls)} of {len(calls)} updates skipped")
+
+    calls.clear()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        _, result, _ = pipeline.simulate_and_run(TrajectorySpec.excited(2.0),
+                                                 _mc_sim_config(0), _mc_run_values())
+    assert result.skipped_updates == 0 and len(calls) > 0
+    assert not caplog.records

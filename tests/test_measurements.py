@@ -20,13 +20,12 @@ from eqfrio.symmetry import (
     SystemState,
     error_inverse,
     group_compose,
-    group_identity,
     group_inverse,
     identity_state,
     input_action,
     state_action,
 )
-from helpers import assert_close, central_difference, random_element
+from helpers import assert_close, central_difference, group_identity, random_element
 from test_symmetry import random_group, random_state
 
 

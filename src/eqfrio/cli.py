@@ -28,6 +28,8 @@ from .pipeline import (
 )
 from .simulator import run_simulation
 
+_CAL_ERROR_HEADER = ["t", "e_angle_rad"]
+
 
 def cmd_simulate(spec_path, out_dir) -> int:
     values, seen = parse_kv_file(spec_path, SIM_SCHEMA)
@@ -75,11 +77,8 @@ def cmd_run(data_dir, config_path, out_dir) -> int:
     eqio.write_estimate_csv(out / "estimate.csv", result.times, result.est_rot,
                             result.est_pos, result.est_vel, result.pose_cov)
     if result.e_angle is not None:
-        with open(out / "calibration_error.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "e_angle_rad"])
-            for t, e in zip(result.times, result.e_angle):
-                w.writerow([eqio.FLOAT_FMT % t, eqio.FLOAT_FMT % e])
+        eqio._write_csv(out / "calibration_error.csv", _CAL_ERROR_HEADER,
+                        zip(result.times, result.e_angle))
     belief = result.final_belief
     with open(out / "final_belief.json", "w", encoding="utf-8") as f:
         json.dump({
@@ -104,10 +103,7 @@ def cmd_evaluate(est_dir, gt_path, out_dir) -> int:
     e_angle = None
     cal_path = est_dir / "calibration_error.csv"
     if cal_path.exists():
-        with open(cal_path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)
-            e_angle = np.array([float(row[1]) for row in reader if row])
+        e_angle = eqio._read_csv(cal_path, _CAL_ERROR_HEADER)[:, 1]
 
     report = evaluate_run(pair, e_angle)
     out = Path(out_dir)

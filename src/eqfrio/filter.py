@@ -14,6 +14,10 @@ densities over the input vector (10 navigation slots, 9 bias drive, 6
 calibration drive); the propagation injects B Q B^T / dt into the core,
 which scales the net noise with dt as the densities require.  The unit
 input slot carries no noise.
+
+The updates read the estimate straight off the group element.  With L the
+Cholesky factor of S = C P C^T + R, one solve gives W = L^-1 C P and w = L^-1 r:
+the error correction W^T w (the textbook K r) and the covariance P - W^T W.
 """
 
 from __future__ import annotations
@@ -38,10 +42,7 @@ from .symmetry import (
     error_inverse,
     gravity_generator,
     group_compose,
-    group_inverse,
     identity_state,
-    input_action,
-    state_action,
     state_action_inverse,
 )
 
@@ -108,8 +109,18 @@ def initialize(xi_init: SystemState, cov_init) -> FilterBelief:
     )
 
 
+def _core_estimate(X: SymmetryElement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D^-1 for D = X.nav, and the estimated biases and extrinsic."""
+    nav_inv = SE23.inverse(X.nav)
+    bias = SE23.adjoint(nav_inv) @ -X.bias_shift
+    cal = project_group(SE23, SE3, nav_inv) @ X.cal
+    return nav_inv, bias, cal
+
+
 def estimated_state(belief: FilterBelief) -> SystemState:
-    return state_action(belief.sym, identity_state(belief.n_clones, belief.stamps))
+    """The estimate's image of the identity origin, bit for bit state_action's."""
+    _, bias, cal = _core_estimate(belief.sym)
+    return SystemState(belief.sym.nav, bias, cal, belief.sym.clones, belief.stamps)
 
 
 _GRAVITY_STEP_CACHE: dict = {}
@@ -146,9 +157,7 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     Jacobians.  On the static clones they are the identity and zero.
     """
     grav_exp, grav_adj = _gravity_step(dt, gravity)
-    nav_inv = SE23.inverse(X.nav)
-    bias = SE23.adjoint(nav_inv) @ -X.bias_shift              # estimated biases
-    cal_est = project_group(SE23, SE3, nav_inv) @ X.cal       # estimated extrinsic
+    nav_inv, bias, cal_est = _core_estimate(X)
     corrected = u.nav - project_algebra(SE23, Gal3, bias)
     nav_g = project_group(SE23, Gal3, X.nav)
     step = nav_g @ Gal3.exp(dt * corrected)
@@ -213,16 +222,17 @@ def _skipped(belief: FilterBelief, message: str) -> FilterBelief:
 
 def _apply_update(belief: FilterBelief, C: np.ndarray, residuals: np.ndarray,
                   noise_diag: np.ndarray, gate: float | None) -> FilterBelief:
-    """Shared gain computation: stacked rows, diagonal measurement noise,
-    optional per-row chi-square gate applied before solving."""
+    """Shared update: stacked rows, diagonal measurement noise, optional
+    per-row chi-square gate applied before the one solve."""
+    CP = C @ belief.cov
     if gate is not None:
-        innovation_var = np.einsum("ij,jk,ik->i", C, belief.cov, C) + noise_diag
+        innovation_var = np.einsum("ij,ij->i", CP, C) + noise_diag
         keep = residuals**2 <= gate * innovation_var
         if not np.any(keep):
             return belief
-        C, residuals, noise_diag = C[keep], residuals[keep], noise_diag[keep]
+        C, CP, residuals, noise_diag = C[keep], CP[keep], residuals[keep], noise_diag[keep]
 
-    S = C @ belief.cov @ C.T + np.diag(noise_diag)
+    S = CP @ C.T + np.diag(noise_diag)
     S = 0.5 * (S + S.T)
     try:
         L = np.linalg.cholesky(S)
@@ -231,10 +241,10 @@ def _apply_update(belief: FilterBelief, C: np.ndarray, residuals: np.ndarray,
     if np.min(np.diag(L)) ** 2 <= 1e-12 * np.max(np.diag(S)):
         return _skipped(belief, "near-singular innovation covariance; update skipped")
 
-    K = np.linalg.solve(L.T, np.linalg.solve(L, C @ belief.cov)).T
-    correction = error_inverse(K @ residuals)
-    sym = group_compose(correction, belief.sym)
-    cov = (np.eye(belief.dof) - K @ C) @ belief.cov
+    Ww = np.linalg.solve(L, np.column_stack([CP, residuals]))
+    W, w = Ww[:, :-1], Ww[:, -1]
+    sym = group_compose(error_inverse(W.T @ w), belief.sym)
+    cov = belief.cov - W.T @ W
     cov = 0.5 * (cov + cov.T)
     return belief._replace(sym=sym, cov=cov)
 
@@ -245,13 +255,11 @@ def update_doppler(belief: FilterBelief, detections, gyro,
     detections = list(detections)
     if not detections:
         raise ValueError("empty scan")
-    core = belief.sym._replace(clones=())   # the Doppler output reads no clone
-    xi_hat = state_action(core, identity_state())
-    origin_input = input_action(group_inverse(core),
-                                SystemInput.from_imu(gyro, np.zeros(3)))
+    xi_hat = estimated_state(belief)
+    origin_gyro = xi_hat.attitude() @ (gyro - xi_hat.bias[0:3])   # R (w - b_g)
     points = np.array([det.point for det in detections])
     measured = np.array([det.doppler for det in detections])
-    C, D = doppler_rows(belief.sym, origin_input.gyro, points)
+    C, D = doppler_rows(belief.sym, origin_gyro, points)
     residuals = measured - doppler_model(xi_hat, points, gyro)
     noise_diag = np.einsum("ij,jk,ik->i", D, noise.cov(), D)
     return _apply_update(belief, C, residuals, noise_diag, gate)

@@ -179,10 +179,8 @@ def read_estimate_csv(path):
     times = data[:, 0]
     rots = np.stack([matrix_from_quat(q) for q in data[:, 1:5]])
     covs = np.zeros((len(data), 6, 6))
-    iu = np.triu_indices(6)
-    for i, row in enumerate(data):
-        covs[i][iu] = row[11:]
-        covs[i] = covs[i] + covs[i].T - np.diag(np.diag(covs[i]))
+    rows, cols = np.triu_indices(6)
+    covs[:, rows, cols] = covs[:, cols, rows] = data[:, 11:]
     return times, rots, data[:, 5:8], data[:, 8:11], covs
 
 

@@ -153,22 +153,6 @@ def group_inverse(X: SymmetryElement) -> SymmetryElement:
     )
 
 
-def group_exp(eps) -> SymmetryElement:
-    """Group exponential of stacked error coordinates
-    (9 nav, 9 bias, 6 extrinsic, 6 per clone)."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape[0] < 24 or (eps.shape[0] - 24) % 6 != 0:
-        raise ValueError(f"error vector length {eps.shape[0]} is not 24 + 6k")
-    k = (eps.shape[0] - 24) // 6
-    nav, shift = TangentSE23.exp(eps[0:9], eps[9:18])
-    return SymmetryElement(
-        nav=nav,
-        bias_shift=shift,
-        cal=SE3.exp(eps[18:24]),
-        clones=tuple(SE3.exp(eps[24 + 6 * i : 30 + 6 * i]) for i in range(k)),
-    )
-
-
 def group_log(X: SymmetryElement) -> np.ndarray:
     nav, shift = TangentSE23.log((X.nav, X.bias_shift))
     parts = [nav, shift, SE3.log(X.cal)]
@@ -322,7 +306,17 @@ def error_coordinates(X_hat: SymmetryElement, xi: SystemState,
 
 
 def error_inverse(eps) -> SymmetryElement:
-    """Group element realizing the given error coordinates; inverse of
+    """Group element realizing the given error coordinates (9 nav, 9 bias,
+    6 extrinsic, 6 per clone), their group exponential; inverse of
     error_coordinates in the sense that the error of group_compose(
     error_inverse(eps), X_hat) relative to X_hat is eps."""
-    return group_exp(eps)
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape[0] < 24 or (eps.shape[0] - 24) % 6 != 0:
+        raise ValueError(f"error vector length {eps.shape[0]} is not 24 + 6k")
+    nav, shift = TangentSE23.exp(eps[0:9], eps[9:18])
+    return SymmetryElement(
+        nav=nav,
+        bias_shift=shift,
+        cal=SE3.exp(eps[18:24]),
+        clones=tuple(SE3.exp(c) for c in eps[24:].reshape(-1, 6)),
+    )

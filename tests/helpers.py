@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import expm
 
 from eqfrio.lie import SO3
 from eqfrio.symmetry import SymmetryElement
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """Environment for a child Python process that imports the package from
+    this checkout's `src/`, ahead of any inherited PYTHONPATH."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def random_coords(rng, group, rot_scale=1.0, lin_scale=1.0):

@@ -11,6 +11,7 @@ import pytest
 from eqfrio import pipeline
 from eqfrio.cli import main
 from eqfrio.io import read_imu_csv
+from helpers import src_env
 
 SIM_SPEC = """
 preset = hover
@@ -86,6 +87,32 @@ def test_run_perturbation_sets_initial_calibration(workspace, tmp_path):
     assert np.isclose(first, np.deg2rad(80.0), atol=1e-6)
 
 
+@pytest.fixture(scope="module")
+def run_dir(workspace):
+    out = workspace / "est_cal"
+    assert main(["run", "--data", str(workspace / "data"),
+                 "--config", str(workspace / "run.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", ["nan", ""], ids=["nan", "empty"])
+def test_evaluate_rejects_bad_calibration_error_value(workspace, run_dir, tmp_path,
+                                                      capsys, value):
+    import shutil
+
+    est = tmp_path / "est"
+    shutil.copytree(run_dir, est)
+    path = est / "calibration_error.csv"
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].split(",")[0] + "," + value
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--est", str(est),
+                 "--gt", str(workspace / "data" / "groundtruth.csv"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert f"{path}:{len(lines)}" in capsys.readouterr().err
+
+
 def test_run_rejects_bad_config(workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not.a.key = 1\n")
@@ -137,7 +164,7 @@ def test_montecarlo_aggregate_rows(workspace, tmp_path):
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "eqfrio.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 

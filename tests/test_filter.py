@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import inv as dense_inv
 
 from eqfrio.filter import (
+    CHI2_GATE_1DOF,
     FilterBelief,
     clone_augment,
     clone_marginalize,
@@ -26,6 +27,7 @@ from eqfrio.measurements import (
     doppler_model,
     doppler_rows,
     point_constraint_model,
+    point_rows,
 )
 from eqfrio.pipeline import initial_covariance
 from eqfrio.symmetry import (
@@ -355,6 +357,92 @@ def test_update_doppler_matches_dense_oracle():
     assert np.allclose(out.sym.bias_shift, expected_mean.bias_shift, atol=1e-10)
     assert np.allclose(out.sym.cal, expected_mean.cal, atol=1e-10)
     assert np.allclose(out.cov, 0.5 * (expected_cov + expected_cov.T), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 10])
+def test_estimated_state_is_image_of_identity(k):
+    rng = np.random.default_rng(106 + k)
+    belief = random_belief(rng, k)
+    est = estimated_state(belief)
+    ref = state_action(belief.sym, identity_state(k, belief.stamps))
+    assert est.stamps == ref.stamps and est.n_clones == ref.n_clones == k
+    for a, b in zip((est.pose, est.bias, est.cal, *est.clones),
+                    (ref.pose, ref.bias, ref.cal, *ref.clones)):
+        assert np.array_equal(a, b)
+
+
+def _textbook_update(belief, C, residuals, noise_diag, gate):
+    """Dense reference: gate rows on diag(C P C^T) + noise, then the gain
+    K = P C^T S^-1, the mean exp(K r) X and the covariance (I - K C) P.
+    Also returns how many rows the gate kept."""
+    P = belief.cov
+    if gate is not None:
+        keep = residuals**2 <= gate * (np.diag(C @ P @ C.T) + noise_diag)
+        C, residuals, noise_diag = C[keep], residuals[keep], noise_diag[keep]
+    K = P @ C.T @ dense_inv(C @ P @ C.T + np.diag(noise_diag))
+    cov = (np.eye(belief.dof) - K @ C) @ P
+    sym = group_compose(error_inverse(K @ residuals), belief.sym)
+    return sym, 0.5 * (cov + cov.T), len(residuals)
+
+
+def _assert_same_update(out, sym, cov):
+    for a, b in zip((out.sym.nav, out.sym.bias_shift, out.sym.cal, *out.sym.clones),
+                    (sym.nav, sym.bias_shift, sym.cal, *sym.clones)):
+        assert_close(a, b, 1e-12, "mean")
+    assert_close(out.cov, cov, 1e-12, "covariance")
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("k", [0, 3, 10])
+def test_update_doppler_matches_textbook_update(k, gated):
+    # six returns; gated, one of them is 50 m/s off and the gate drops that row
+    rng = np.random.default_rng(110 + k)
+    belief = random_belief(rng, k)
+    gyro = rng.standard_normal(3)
+    points = rng.standard_normal((6, 3)) + 2.0
+    xi = state_action(belief.sym, identity_state(k, belief.stamps))
+    predicted = doppler_model(xi, points, gyro)
+    measured = predicted + 0.03 * rng.standard_normal(6) + 50.0 * gated * (np.arange(6) == 2)
+    spec = DopplerNoiseSpec(0.01, 0.05, 0.01, 0.05)
+    gate = CHI2_GATE_1DOF if gated else None
+
+    out = update_doppler(belief, [RadarDetection(i, p, m) for i, (p, m)
+                                  in enumerate(zip(points, measured))], gyro, spec, gate)
+
+    u0 = input_action(group_inverse(belief.sym), SystemInput.from_imu(gyro, np.zeros(3)))
+    C, D = doppler_rows(belief.sym, u0.gyro, points)
+    noise_diag = np.diag(D @ spec.cov() @ D.T)
+    sym, cov, used = _textbook_update(belief, C, measured - predicted, noise_diag, gate)
+    assert used == (5 if gated else 6)
+    _assert_same_update(out, sym, cov)
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_update_msc_matches_textbook_update(k, gated):
+    # a point constraint needs a clone, so the smallest window is k = 1; six
+    # re-observations; gated, one of them is 50 m off and the gate drops that row
+    rng = np.random.default_rng(120 + k)
+    belief = random_belief(rng, k)
+    index = np.arange(6) % k
+    then = rng.standard_normal((6, 3)) + 2.0
+    xi = state_action(belief.sym, identity_state(k, belief.stamps))
+    predicted = point_constraint_model(xi, index, then)
+    ranges = predicted + 0.03 * rng.standard_normal(6) + 50.0 * gated * (np.arange(6) == 2)
+    bearings = rng.standard_normal((6, 3))
+    now = bearings / np.linalg.norm(bearings, axis=-1)[:, None] * ranges[:, None]
+    spec = DopplerNoiseSpec(0.01, 0.05, 0.01, 0.05)
+    gate = CHI2_GATE_1DOF if gated else None
+
+    out = update_msc(belief, [MatchObservation(i, int(index[i]), now[i], then[i])
+                              for i in range(6)], spec, gate)
+
+    C, D = point_rows(belief.sym, index, then)
+    noise_diag = np.diag(D @ spec.point_pair_cov() @ D.T)
+    residuals = np.linalg.norm(now, axis=-1) - predicted
+    sym, cov, used = _textbook_update(belief, C, residuals, noise_diag, gate)
+    assert used == (5 if gated else 6)
+    _assert_same_update(out, sym, cov)
 
 
 def test_update_doppler_singular_innovation_skipped():

@@ -4,12 +4,11 @@ need: record generation (`dataclasses`), the skipped-update warning
 (`concurrent.futures`).  `json` is not among them: the command-line front
 end and the set-up probe load it anyway, so deferring it saves no time."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import src_env
+
 DEFERRED = ("dataclasses", "logging", "csv", "concurrent.futures")
 
 
@@ -17,8 +16,7 @@ def test_run_loop_layers_import_without_deferred_modules():
     code = ("import sys\n"
             "import eqfrio, eqfrio.evaluation, eqfrio.io, eqfrio.pipeline\n"
             f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))\n")
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

@@ -82,15 +82,17 @@ def test_groundtruth_csv_roundtrip(tmp_path):
 
 
 def test_estimate_csv_roundtrip(tmp_path):
+    # the covariance blocks span 24 decades; both triangles and the diagonal
+    # must come back bit for bit at every magnitude
     rng = np.random.default_rng(144)
-    n = 6
+    n = 50
     t = np.sort(rng.random(n))
     rot = np.stack([random_rotation(rng) for _ in range(n)])
     pos = rng.standard_normal((n, 3))
     vel = rng.standard_normal((n, 3))
     covs = np.zeros((n, 6, 6))
     for i in range(n):
-        M = rng.standard_normal((6, 6))
+        M = rng.standard_normal((6, 6)) * 10.0 ** rng.uniform(-9, 3)
         covs[i] = M @ M.T
     path = tmp_path / "estimate.csv"
     write_estimate_csv(path, t, rot, pos, vel, covs)

@@ -27,6 +27,7 @@ from .pipeline import (
     sim_setup_from_values,
 )
 from .simulator import run_simulation
+from .symmetry import GRAVITY
 
 _CAL_ERROR_HEADER = ["t", "e_angle_rad"]
 
@@ -57,6 +58,9 @@ def cmd_simulate(spec_path, out_dir) -> int:
 def cmd_run(data_dir, config_path, out_dir) -> int:
     values, _ = parse_kv_file(config_path, RUN_SCHEMA)
     bundle = DatasetBundle.open(data_dir)
+    if not np.array_equal(bundle.meta["gravity"], GRAVITY):
+        raise ConfigError(f"{Path(data_dir) / 'meta.cfg'}: gravity "
+                          f"{bundle.meta['gravity']} is not the filter's {tuple(GRAVITY)}")
     times, gyro, accel = eqio.read_imu_csv(bundle.imu_path)
     scans = eqio.read_radar_csv(bundle.radar_path)
     cal_true = SE3.from_components(SO3.exp(np.asarray(bundle.meta["cal_rot_true"])),

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import SE3, SE23, Gal3, project_algebra, project_group
+from .lie import SE3, SE23, Gal3, se3_part
 from .measurements import (
     DopplerNoiseSpec,
     doppler_model,
@@ -47,6 +47,9 @@ from .symmetry import (
 )
 
 CHI2_GATE_1DOF = 6.63   # 99% quantile
+# a step may exceed dt_max by this factor: stamps on a dt_max grid differ by
+# dt_max plus a few ulps of the stamp
+_DT_SLACK = 1.0 + 1e-9
 
 
 def process_noise(gyro=0.0, accel=0.0, virtual_velocity=0.0,
@@ -113,7 +116,7 @@ def _core_estimate(X: SymmetryElement) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """D^-1 for D = X.nav, and the estimated biases and extrinsic."""
     nav_inv = SE23.inverse(X.nav)
     bias = SE23.adjoint(nav_inv) @ -X.bias_shift
-    cal = project_group(SE23, SE3, nav_inv) @ X.cal
+    cal = se3_part(nav_inv) @ X.cal
     return nav_inv, bias, cal
 
 
@@ -158,24 +161,23 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     """
     grav_exp, grav_adj = _gravity_step(dt, gravity)
     nav_inv, bias, cal_est = _core_estimate(X)
-    corrected = u.nav - project_algebra(SE23, Gal3, bias)
-    nav_g = project_group(SE23, Gal3, X.nav)
-    step = nav_g @ Gal3.exp(dt * corrected)
-    nav = project_group(Gal3, SE23, grav_exp @ step)
+    corrected = u.nav - np.append(bias, 0.0)
+    step = X.nav @ Gal3.exp(dt * corrected)
+    nav = grav_exp @ step     # time shifts -dt and dt cancel exactly
     shift = -(SE23.adjoint(nav) @ (bias + dt * u.tau))
-    cal = project_group(SE23, SE3, nav) @ cal_est @ SE3.exp(dt * u.mu)
+    cal = se3_part(nav) @ cal_est @ SE3.exp(dt * u.mu)
     X_next = SymmetryElement(nav=nav, bias_shift=shift, cal=cal, clones=X.clones)
 
-    ad_nav = Gal3.adjoint(nav_g)
+    ad_nav = Gal3.adjoint(X.nav)
     ad_cal = SE3.adjoint(X.cal)
-    input_exp = step @ project_group(SE23, Gal3, nav_inv)    # exp(dt w) = D E D^-1
+    input_exp = step @ nav_inv    # exp(dt w) = D E D^-1
     input_jl = Gal3.left_jacobian(dt * (ad_nav @ corrected))  # origin input w
 
     rot_pos = np.r_[0:3, 6:9]     # the (rotation, position) rows of a nav block
     gamma = grav_adj[0:9, 0:9]
     upsilon = Gal3.adjoint(input_exp)[0:9, 0:9]
     a1 = gamma @ input_jl[0:9, 0:9] * dt
-    a2 = SE3.adjoint(project_group(Gal3, SE3, grav_exp @ input_exp))
+    a2 = SE3.adjoint(se3_part(grav_exp @ input_exp))
 
     A = np.eye(24)
     A[0:9, 0:9] = gamma
@@ -201,7 +203,7 @@ def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
     """One prediction step: mean and covariance through propagation_step.
     A P A^T acts on the core rows, then the core columns; the clone-clone
     block is left as it is."""
-    if not 0.0 < dt <= dt_max:
+    if not 0.0 < dt <= dt_max * _DT_SLACK:
         raise ValueError(f"bad timestep {dt}")
     sym, A, B = propagation_step(belief.sym, u, dt, gravity)
     cov = belief.cov.copy()

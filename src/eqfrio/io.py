@@ -186,11 +186,19 @@ def read_estimate_csv(path):
 
 # --- key-value configuration --------------------------------------------------------
 
+def _finite(texts) -> list:
+    values = [float(t) for t in texts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value {' '.join(texts)}")
+    return values
+
+
 def parse_kv_text(text: str, schema: dict, source: str = "<config>"):
     """Strict parser for `key = value` lines.  The schema maps keys to
     (type, default); unknown keys and bad values are errors with line
-    numbers.  Types: float, int, bool, str, and "vec3".  Returns the value
-    dict and the set of keys that were explicitly present."""
+    numbers.  Types: float, int, bool, str, and "vec3"; float and vec3
+    values must be finite.  Returns the value dict and the set of keys that
+    were explicitly present."""
     values = {k: default for k, (_, default) in schema.items()}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -209,7 +217,7 @@ def parse_kv_text(text: str, schema: dict, source: str = "<config>"):
         kind = schema[key][0]
         try:
             if kind == "float":
-                values[key] = float(val)
+                values[key] = _finite([val])[0]
             elif kind == "int":
                 values[key] = int(val)
             elif kind == "bool":
@@ -219,7 +227,7 @@ def parse_kv_text(text: str, schema: dict, source: str = "<config>"):
             elif kind == "str":
                 values[key] = val
             elif kind == "vec3":
-                parts = [float(p) for p in val.replace(",", " ").split()]
+                parts = _finite(val.replace(",", " ").split())
                 if len(parts) != 3:
                     raise ValueError("expected three numbers")
                 values[key] = tuple(parts)

@@ -16,7 +16,8 @@ Conventions:
     column a, position column b and time shift c.  Its algebra embedding
     places the time entry at block row 4, column 5, which makes the position
     column of exp() pick up the velocity * time / 2 coupling of uniformly
-    accelerated motion.  Setting c = 0 recovers the standard SE2(3) matrix.
+    accelerated motion.  Setting c = 0 recovers the standard SE2(3) matrix,
+    so an SE2(3) matrix serves as a Gal(3) one as it is.
 """
 
 from __future__ import annotations
@@ -157,14 +158,6 @@ class SO3:
         return v
 
     @staticmethod
-    def identity() -> np.ndarray:
-        return np.eye(3)
-
-    @staticmethod
-    def compose(X, Y) -> np.ndarray:
-        return X @ Y
-
-    @staticmethod
     def inverse(X) -> np.ndarray:
         return np.asarray(X).T.copy()
 
@@ -237,14 +230,6 @@ class SE3:
         v = np.concatenate([unskew(M[0:3, 0:3]), M[0:3, 3]])
         _check_embedded("se3", M, SE3.wedge(v))
         return v
-
-    @staticmethod
-    def identity() -> np.ndarray:
-        return np.eye(4)
-
-    @staticmethod
-    def compose(X, Y) -> np.ndarray:
-        return X @ Y
 
     @staticmethod
     def inverse(X) -> np.ndarray:
@@ -323,14 +308,6 @@ class SE23:
         v = np.concatenate([unskew(M[0:3, 0:3]), M[0:3, 3], M[0:3, 4]])
         _check_embedded("se23", M, SE23.wedge(v))
         return v
-
-    @staticmethod
-    def identity() -> np.ndarray:
-        return np.eye(5)
-
-    @staticmethod
-    def compose(X, Y) -> np.ndarray:
-        return X @ Y
 
     @staticmethod
     def inverse(X) -> np.ndarray:
@@ -418,14 +395,6 @@ class Gal3:
         return u
 
     @staticmethod
-    def identity() -> np.ndarray:
-        return np.eye(5)
-
-    @staticmethod
-    def compose(X, Y) -> np.ndarray:
-        return X @ Y
-
-    @staticmethod
     def inverse(X) -> np.ndarray:
         R, v, p, c = Gal3.components(X)
         return Gal3.from_components(R.T, -R.T @ v, R.T @ (c * v - p), -c)
@@ -487,113 +456,10 @@ class Gal3:
 GROUPS = {"so3": SO3, "se3": SE3, "se23": SE23, "gal3": Gal3}
 
 
-class TangentSE23:
-    """Semidirect product SE2(3) x se2(3): pairs (D, delta) of an extended
-    pose with an algebra 9-vector.
-
-    Composition transports the second slot by the adjoint of the first:
-    (A, a)(B, b) = (AB, a + Ad_A b).  The exponential of (u, w) is
-    (exp(u), Jl(u) w) since the one-parameter subgroup integrates
-    Ad(exp(s u)) applied to w.
-    """
-
-    dim = 18
-
-    @staticmethod
-    def identity() -> tuple[np.ndarray, np.ndarray]:
-        return np.eye(5), np.zeros(9)
-
-    @staticmethod
-    def compose(X, Y) -> tuple[np.ndarray, np.ndarray]:
-        D1, d1 = X
-        D2, d2 = Y
-        return D1 @ D2, d1 + SE23.adjoint(D1) @ d2
-
-    @staticmethod
-    def inverse(X) -> tuple[np.ndarray, np.ndarray]:
-        D, d = X
-        Dinv = SE23.inverse(D)
-        return Dinv, -(SE23.adjoint(Dinv) @ d)
-
-    @staticmethod
-    def exp(u_pose, u_vec) -> tuple[np.ndarray, np.ndarray]:
-        J = SE23.left_jacobian(u_pose)
-        return SE23.exp(u_pose), J @ np.asarray(u_vec, dtype=float)
-
-    @staticmethod
-    def log(X) -> tuple[np.ndarray, np.ndarray]:
-        D, d = X
-        u = SE23.log(D)
-        J = SE23.left_jacobian(u)
-        return u, solve_left_jacobian(J, d)
-
-
-def solve_left_jacobian(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve Jl x = rhs, warning when the chart is close to degenerate."""
-    if np.linalg.cond(J) > 1e12:
-        import warnings
-
-        warnings.warn("left Jacobian is ill-conditioned; chart near its boundary")
-    return np.linalg.solve(J, rhs)
-
-
-# --- projections between nested groups -------------------------------------
-
-def _se23_from_gal3(X):
-    R, v, p, _ = Gal3.components(X)
-    return SE23.from_components(R, v, p)
-
-
-def _se3_from_se23(X):
-    R, _, p = SE23.components(X)
-    return SE3.from_components(R, p)
-
-
-def _se3_from_gal3(X):
-    R, _, p, _ = Gal3.components(X)
-    return SE3.from_components(R, p)
-
-
-def _gal3_from_se23(X):
-    R, v, p = SE23.components(X)
-    return Gal3.from_components(R, v, p, 0.0)
-
-
-def _se23_from_se3(X):
-    R, t = SE3.components(X)
-    return SE23.from_components(R, np.zeros(3), t)
-
-
-_GROUP_PROJECTIONS = {
-    (Gal3, SE23): _se23_from_gal3,
-    (Gal3, SE3): _se3_from_gal3,
-    (SE23, SE3): _se3_from_se23,
-    (SE23, Gal3): _gal3_from_se23,
-    (SE3, SE23): _se23_from_se3,
-}
-
-_ALGEBRA_PROJECTIONS = {
-    (Gal3, SE23): lambda u: np.asarray(u, dtype=float)[0:9].copy(),
-    (SE23, Gal3): lambda u: np.append(np.asarray(u, dtype=float), 0.0),
-    (SE23, SE3): lambda u: np.concatenate([u[0:3], u[6:9]]),
-    (SE3, SE23): lambda u: np.concatenate([u[0:3], np.zeros(3), u[3:6]]),
-}
-
-
-def project_group(src, dst, X) -> np.ndarray:
-    """Extract the dst-structured part of X, or embed X into dst with
-    identity filling; src and dst are group classes from this module."""
-    try:
-        return _GROUP_PROJECTIONS[(src, dst)](X)
-    except KeyError:
-        raise ValueError(f"unsupported group projection {src.__name__} -> {dst.__name__}")
-
-
-def project_algebra(src, dst, u) -> np.ndarray:
-    try:
-        return _ALGEBRA_PROJECTIONS[(src, dst)](np.asarray(u, dtype=float))
-    except KeyError:
-        raise ValueError(f"unsupported algebra projection {src.__name__} -> {dst.__name__}")
+def se3_part(X) -> np.ndarray:
+    """The rigid transform (rotation, position) of an SE2(3) or Gal(3)
+    matrix, dropping velocity and time shift."""
+    return SE3.from_components(X[0:3, 0:3], X[0:3, 4])
 
 
 # --- R x S^2 tangent basis and retraction Jacobian -------------------------

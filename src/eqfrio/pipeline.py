@@ -21,6 +21,7 @@ import numpy as np
 
 from .evaluation import AlignedPair, calibration_error, evaluate_run
 from .filter import (
+    _DT_SLACK,
     CHI2_GATE_1DOF,
     FilterBelief,
     clone_augment,
@@ -245,7 +246,8 @@ class RunResult(NamedTuple):
 
 def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                settings: RunSettings, cal_rot_truth=None) -> RunResult:
-    """Drive the filter over one dataset.  Timestamps must be monotone;
+    """Drive the filter over one dataset.  Timestamps must be monotone, and
+    no IMU gap and no scan after the last IMU record may exceed dt_max;
     violations abort with the offending record.  A scan with no detections
     is skipped, as it has no row in radar.csv.  Updates that change nothing
     (singular innovation covariance, every row gated) are counted."""
@@ -254,7 +256,8 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
     belief = initialize(xi0, cov0)
     S_true = None if cal_rot_truth is None else np.asarray(cal_rot_truth)
 
-    bad = np.flatnonzero(np.diff(times) <= 0)
+    gaps = np.diff(times)
+    bad = np.flatnonzero(gaps <= 0)
     if bad.size:
         raise ValueError(f"non-monotone timestamps in imu stream at record "
                          f"{bad[0] + 1} (t={times[bad[0] + 1]})")
@@ -263,6 +266,21 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
         if scan_stamps[i] <= scan_stamps[i - 1]:
             raise ValueError(f"non-monotone timestamps in radar stream at "
                              f"record {i} (t={scan_stamps[i]})")
+    # no propagation step may exceed dt_max: no IMU gap, no scan past the end
+    dt_limit = settings.dt_max * _DT_SLACK
+    bad = np.flatnonzero(gaps > dt_limit)
+    if bad.size:
+        i = bad[0] + 1
+        raise ValueError(f"imu gap of {gaps[i - 1]} s before record {i} (t={times[i]}) "
+                         f"exceeds filter.dt_max {settings.dt_max}")
+    if times.size:
+        late = np.asarray(scan_stamps, dtype=float) - times[-1]
+        bad = np.flatnonzero(late > dt_limit)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"radar record {i} (t={scan_stamps[i]}) is {late[i]} s "
+                             f"after the last imu record, more than filter.dt_max "
+                             f"{settings.dt_max}")
     events = [(t, 0, i) for i, t in enumerate(times)]
     events += [(scan.stamp, 1, i) for i, scan in enumerate(scans)]
     events.sort(key=lambda e: (e[0], e[1]))

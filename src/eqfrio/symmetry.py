@@ -20,14 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import (
-    SE3,
-    SE23,
-    Gal3,
-    TangentSE23,
-    project_algebra,
-    project_group,
-)
+from .lie import SE3, SE23, Gal3, se3_part
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -97,7 +90,7 @@ class SystemState(CheckedRecord, _SystemState):
 
     def radar_pose(self) -> np.ndarray:
         """Current radar pose in the world frame."""
-        return project_group(SE23, SE3, self.pose) @ self.cal
+        return se3_part(self.pose) @ self.cal
 
 
 def identity_state(n_clones: int = 0, stamps: tuple = ()) -> SystemState:
@@ -134,27 +127,30 @@ class SymmetryElement(NamedTuple):
 def group_compose(X: SymmetryElement, Y: SymmetryElement) -> SymmetryElement:
     if X.n_clones != Y.n_clones:
         raise ValueError("clone count mismatch")
-    nav, shift = TangentSE23.compose((X.nav, X.bias_shift), (Y.nav, Y.bias_shift))
+    # tangent-group rule (A, a)(B, b) = (AB, a + Ad_A b)
     return SymmetryElement(
-        nav=nav,
-        bias_shift=shift,
+        nav=X.nav @ Y.nav,
+        bias_shift=X.bias_shift + SE23.adjoint(X.nav) @ Y.bias_shift,
         cal=X.cal @ Y.cal,
         clones=tuple(Fx @ Fy for Fx, Fy in zip(X.clones, Y.clones)),
     )
 
 
 def group_inverse(X: SymmetryElement) -> SymmetryElement:
-    nav, shift = TangentSE23.inverse((X.nav, X.bias_shift))
+    # (A, a)^-1 = (A^-1, -Ad_{A^-1} a)
+    nav = SE23.inverse(X.nav)
     return SymmetryElement(
         nav=nav,
-        bias_shift=shift,
+        bias_shift=-(SE23.adjoint(nav) @ X.bias_shift),
         cal=SE3.inverse(X.cal),
         clones=tuple(SE3.inverse(F) for F in X.clones),
     )
 
 
 def group_log(X: SymmetryElement) -> np.ndarray:
-    nav, shift = TangentSE23.log((X.nav, X.bias_shift))
+    # log (A, a) = (u, Jl(u)^-1 a) with u = log A
+    nav = SE23.log(X.nav)
+    shift = np.linalg.solve(SE23.left_jacobian(nav), X.bias_shift)
     parts = [nav, shift, SE3.log(X.cal)]
     parts.extend(SE3.log(F) for F in X.clones)
     return np.concatenate(parts)
@@ -209,7 +205,7 @@ def state_action(X: SymmetryElement, xi: SystemState) -> SystemState:
     return SystemState(
         pose=xi.pose @ X.nav,
         bias=SE23.adjoint(nav_inv) @ (xi.bias - X.bias_shift),
-        cal=project_group(SE23, SE3, nav_inv) @ xi.cal @ X.cal,
+        cal=se3_part(nav_inv) @ xi.cal @ X.cal,
         clones=tuple(P @ F for P, F in zip(xi.clones, X.clones)),
         stamps=xi.stamps,
     )
@@ -224,7 +220,7 @@ def state_action_inverse(origin: SystemState, xi: SystemState) -> SymmetryElemen
     return SymmetryElement(
         nav=nav,
         bias_shift=origin.bias - SE23.adjoint(nav) @ xi.bias,
-        cal=SE3.inverse(origin.cal) @ project_group(SE23, SE3, nav) @ xi.cal,
+        cal=SE3.inverse(origin.cal) @ se3_part(nav) @ xi.cal,
         clones=tuple(
             SE3.inverse(Po) @ P for Po, P in zip(origin.clones, xi.clones)
         ),
@@ -235,9 +231,7 @@ def input_action(X: SymmetryElement, u: SystemInput) -> SystemInput:
     """Right action of the symmetry group on the input space.  Preserves the
     unit slot of the navigation input."""
     nav_inv = SE23.inverse(X.nav)
-    w = Gal3.adjoint(project_group(SE23, Gal3, nav_inv)) @ (
-        u.nav - project_algebra(SE23, Gal3, X.bias_shift)
-    )
+    w = Gal3.adjoint(nav_inv) @ (u.nav - np.append(X.bias_shift, 0.0))
     return SystemInput(
         nav=w,
         tau=SE23.adjoint(nav_inv) @ u.tau,
@@ -249,7 +243,7 @@ def input_action(X: SymmetryElement, u: SystemInput) -> SystemInput:
 
 def _input_step(u: SystemInput, bias: np.ndarray, dt: float) -> np.ndarray:
     """Gal(3) increment of the bias-corrected navigation input over dt."""
-    return Gal3.exp(dt * (u.nav - project_algebra(SE23, Gal3, bias)))
+    return Gal3.exp(dt * (u.nav - np.append(bias, 0.0)))
 
 
 def discrete_dynamics(xi: SystemState, u: SystemInput, dt: float,
@@ -258,17 +252,15 @@ def discrete_dynamics(xi: SystemState, u: SystemInput, dt: float,
 
     The extended pose is sandwiched between the gravity increment and the
     bias-corrected input increment, both Galilean exponentials; their time
-    shifts cancel so the result projects back to an extended pose without
-    loss.  Biases and extrinsics integrate their drive inputs; clones are
-    static.
+    shifts cancel exactly (-dt + dt), so the product is an extended pose as
+    it stands.  Biases and extrinsics integrate their drive inputs; clones
+    are static.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     drift = Gal3.exp(-dt * gravity_generator(gravity))
-    pose_g = project_group(SE23, Gal3, xi.pose)
-    pose = project_group(Gal3, SE23, drift @ pose_g @ _input_step(u, xi.bias, dt))
     return xi._replace(
-        pose=pose,
+        pose=drift @ xi.pose @ _input_step(u, xi.bias, dt),
         bias=xi.bias + dt * u.tau,
         cal=xi.cal @ SE3.exp(dt * u.mu),
     )
@@ -280,16 +272,14 @@ def lift(xi: SystemState, u: SystemInput, dt: float, gravity=GRAVITY) -> Symmetr
     Clone slots are static, so their lift is the identity."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pose_g = project_group(SE23, Gal3, xi.pose)
-    grav_local = Gal3.adjoint(Gal3.inverse(pose_g)) @ gravity_generator(gravity)
-    nav = project_group(
-        Gal3, SE23, Gal3.exp(-dt * grav_local) @ _input_step(u, xi.bias, dt)
-    )
+    grav_local = Gal3.adjoint(Gal3.inverse(xi.pose)) @ gravity_generator(gravity)
+    # time shifts -dt and dt cancel exactly: the product is an extended pose
+    nav = Gal3.exp(-dt * grav_local) @ _input_step(u, xi.bias, dt)
     cal_inv = SE3.inverse(xi.cal)
     return SymmetryElement(
         nav=nav,
         bias_shift=xi.bias - SE23.adjoint(nav) @ (xi.bias + dt * u.tau),
-        cal=cal_inv @ project_group(SE23, SE3, nav) @ xi.cal @ SE3.exp(dt * u.mu),
+        cal=cal_inv @ se3_part(nav) @ xi.cal @ SE3.exp(dt * u.mu),
         clones=tuple(np.eye(4) for _ in xi.clones),
     )
 
@@ -313,10 +303,10 @@ def error_inverse(eps) -> SymmetryElement:
     eps = np.asarray(eps, dtype=float)
     if eps.shape[0] < 24 or (eps.shape[0] - 24) % 6 != 0:
         raise ValueError(f"error vector length {eps.shape[0]} is not 24 + 6k")
-    nav, shift = TangentSE23.exp(eps[0:9], eps[9:18])
+    # exp (u, w) = (exp u, Jl(u) w)
     return SymmetryElement(
-        nav=nav,
-        bias_shift=shift,
+        nav=SE23.exp(eps[0:9]),
+        bias_shift=SE23.left_jacobian(eps[0:9]) @ eps[9:18],
         cal=SE3.exp(eps[18:24]),
         clones=tuple(SE3.exp(c) for c in eps[24:].reshape(-1, 6)),
     )

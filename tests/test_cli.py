@@ -136,6 +136,80 @@ def test_run_aborts_on_nonmonotone_timestamps(workspace, tmp_path, capsys):
     assert "non-monotone" in capsys.readouterr().err
 
 
+def _edited_copy(workspace, tmp_path, name, edit):
+    """A copy of the workspace dataset with the lines of one file edited."""
+    import shutil
+
+    data = tmp_path / "edited"
+    shutil.copytree(workspace / "data", data)
+    lines = (data / name).read_text().splitlines()
+    (data / name).write_text("\n".join(edit(lines)) + "\n")
+    return data
+
+
+def _run(workspace, tmp_path, data, config=None):
+    return main(["run", "--data", str(data),
+                 "--config", str(config or workspace / "run.cfg"),
+                 "--out", str(tmp_path / "x")])
+
+
+def test_run_rejects_non_finite_config_value(workspace, tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("filter.use_msc = true\nnoise.gyro_density = nan\n")
+    assert _run(workspace, tmp_path, workspace / "data", cfg) == 2
+    assert f"{cfg}:2" in capsys.readouterr().err
+
+
+def test_run_rejects_other_gravity(workspace, tmp_path, capsys):
+    data = _edited_copy(workspace, tmp_path, "meta.cfg", lambda lines: [
+        "gravity = 0 0 -1.62" if line.startswith("gravity") else line for line in lines])
+    assert _run(workspace, tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "meta.cfg" in err and "gravity" in err
+
+
+def test_run_imu_rate_at_dt_max(tmp_path):
+    # 10 Hz stamps differ by 0.1 plus rounding, just above filter.dt_max
+    (tmp_path / "sim.cfg").write_text(SIM_SPEC.replace("imu_rate = 100", "imu_rate = 10"))
+    (tmp_path / "run.cfg").write_text(RUN_CFG)
+    assert main(["simulate", "--spec", str(tmp_path / "sim.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    assert main(["run", "--data", str(tmp_path / "data"),
+                 "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "x")]) == 0
+
+
+@pytest.mark.parametrize("dropped", [9, 10])
+def test_run_imu_gap_names_record(workspace, tmp_path, capsys, dropped):
+    # records 19.. are dropped (line 0 is the header).  With 9 dropped the
+    # gap 0.28 - 0.18 is 0.1 plus rounding and runs.  With 10 the 0.11 s gap
+    # stops the run before the loop, naming the record after it, although
+    # the scan at 0.2 would split it into steps below dt_max
+    data = _edited_copy(workspace, tmp_path, "imu.csv",
+                        lambda lines: lines[:20] + lines[20 + dropped:])
+    code = _run(workspace, tmp_path, data)
+    if dropped == 9:
+        assert code == 0
+    else:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "imu gap of 0.1099" in err
+        assert "before record 19 (t=0.29) exceeds filter.dt_max 0.1" in err
+
+
+def test_run_rejects_scan_after_last_imu_record(workspace, tmp_path, capsys):
+    late_t = float(read_imu_csv(workspace / "data" / "imu.csv")[0][-1]) + 0.3
+
+    def late_scan(lines):
+        scan_id = int(lines[-1].split(",")[1]) + 1
+        return lines + [f"{late_t!r},{scan_id},-1,5,0,0,0"]
+
+    data = _edited_copy(workspace, tmp_path, "radar.csv", late_scan)
+    assert _run(workspace, tmp_path, data) == 1
+    err = capsys.readouterr().err
+    assert f"(t={late_t!r})" in err
+    assert "after the last imu record, more than filter.dt_max 0.1" in err
+
+
 def test_montecarlo_single_job_matches_run(workspace, tmp_path):
     assert main(["montecarlo", "--spec", str(workspace / "sim.cfg"),
                  "--config", str(workspace / "run.cfg"),

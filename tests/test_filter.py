@@ -19,7 +19,7 @@ from eqfrio.filter import (
     update_doppler,
     update_msc,
 )
-from eqfrio.lie import SE3, SE23, SO3, Gal3, project_group
+from eqfrio.lie import SE3, SE23, SO3, Gal3, se3_part
 from eqfrio.measurements import (
     DopplerNoiseSpec,
     MatchObservation,
@@ -174,7 +174,7 @@ def _two_exponential_matrices(origin_input, X, dt):
     gamma = grav_adj[0:9, 0:9]
     upsilon = Gal3.adjoint(input_exp)[0:9, 0:9]
     a1 = gamma @ input_jl[0:9, 0:9] * dt
-    a2 = SE3.adjoint(project_group(Gal3, SE3, grav_exp @ input_exp))
+    a2 = SE3.adjoint(se3_part(grav_exp @ input_exp))
 
     A = np.eye(24)
     A[0:9, 0:9] = gamma
@@ -184,7 +184,7 @@ def _two_exponential_matrices(origin_input, X, dt):
     A[18:24, 9:18] = a1[rot_pos]
     A[18:24, 18:24] = a2
 
-    b1 = -(grav_adj @ input_jl @ Gal3.adjoint(project_group(SE23, Gal3, X.nav)))[0:9] * dt
+    b1 = -(grav_adj @ input_jl @ Gal3.adjoint(X.nav))[0:9] * dt
     b2 = -a2 @ SE3.left_jacobian(dt * origin_input.mu) @ SE3.adjoint(X.cal) * dt
 
     B = np.zeros((24, 25))
@@ -299,6 +299,10 @@ def test_propagate_rejects_bad_timestep():
         propagate(belief, u, 0.0, np.zeros((25, 25)))
     with pytest.raises(ValueError, match="bad timestep"):
         propagate(belief, u, 0.5, np.zeros((25, 25)))
+    with pytest.raises(ValueError, match="bad timestep"):
+        propagate(belief, u, 0.1 * (1 + 1e-8), np.zeros((25, 25)))
+    # stamps on a 0.1 s grid differ by 0.1 plus a few ulps
+    propagate(belief, u, 1.1 - 1.0, np.zeros((25, 25)))
 
 
 def test_propagate_covariance_stays_symmetric_psd():

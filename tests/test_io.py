@@ -165,6 +165,13 @@ def test_kv_parser_bad_value():
         parse_kv_text("a = oops", {"a": ("float", 0.0)})
 
 
+@pytest.mark.parametrize("line", ["a = nan", "a = -inf", "v = 1 inf 2", "v = 0, nan, 0"])
+def test_kv_parser_rejects_non_finite(line):
+    schema = {"a": ("float", 0.0), "v": ("vec3", (0.0, 0.0, 0.0))}
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: bad value .*non-finite"):
+        parse_kv_text("\n" + line, schema, source="run.cfg")
+
+
 def test_kv_parser_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_kv_text("a = 1\na = 2", {"a": ("float", 0.0)})

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from eqfrio.filter import propagation_step
-from eqfrio.lie import SE3, SE23, project_group
+from eqfrio.lie import SE3, SE23
 from eqfrio.symmetry import (
     SystemInput,
     SystemState,
@@ -13,6 +14,7 @@ from eqfrio.symmetry import (
     error_inverse,
     group_compose,
     group_inverse,
+    group_log,
     identity_state,
     input_action,
     lift,
@@ -65,6 +67,41 @@ def groups_close(a, b, tol=1e-9):
     assert np.allclose(a.cal, b.cal, atol=tol)
     for Fa, Fb in zip(a.clones, b.clones):
         assert np.allclose(Fa, Fb, atol=tol)
+
+
+# --- tangent group -------------------------------------------------------------
+
+def test_tangent_group_inverse():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        X = random_group(rng)._replace(bias_shift=rng.standard_normal(9))
+        product = group_compose(X, group_inverse(X))
+        assert np.allclose(product.nav, np.eye(5), atol=1e-10)
+        assert np.allclose(product.bias_shift, 0.0, atol=1e-10)
+        X_inv = group_inverse(X)
+        assert np.allclose(X_inv.bias_shift, -SE23.adjoint(X_inv.nav) @ X.bias_shift,
+                           atol=1e-12)
+
+
+def test_tangent_group_exp_matches_block_embedding():
+    # (D, d) embeds as [[D, wedge(d) D], [0, D]]; its exp then pins the
+    # left-Jacobian transport of the algebra slot.
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        u = random_coords(rng, SE23)
+        w = rng.standard_normal(9)
+        big = np.zeros((10, 10))
+        big[0:5, 0:5] = SE23.wedge(u)
+        big[5:10, 5:10] = SE23.wedge(u)
+        big[0:5, 5:10] = SE23.wedge(w)
+        E = expm(big)
+        X = error_inverse(np.concatenate([u, w, np.zeros(6)]))
+        assert_close(E[0:5, 0:5], X.nav, 1e-10, "tangent exp pose")
+        assert_close(E[0:5, 5:10], SE23.wedge(X.bias_shift) @ X.nav, 1e-9,
+                     "tangent exp slot")
+        eps = group_log(X)
+        assert np.allclose(eps[0:9], u, atol=1e-9)
+        assert np.allclose(eps[9:18], w, atol=1e-9)
 
 
 # --- state action -------------------------------------------------------------
@@ -245,6 +282,23 @@ def test_lift_zero_step_limit():
     u = random_input(rng)
     L = lift(xi, u, 1e-12)
     groups_close(L, group_identity(1), tol=1e-9)
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.1])
+def test_galilean_products_stay_extended_poses(dt):
+    # G D E has time shift -dt + dt, exactly 0, so the step results are used
+    # as extended poses without projection: rows 3-4 must be exact, also
+    # after many steps
+    rng = np.random.default_rng(45)
+    rows = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
+    for _ in range(20):
+        X, xi, u = random_group(rng, 2), random_state(rng, 2), random_input(rng, 3.0)
+        assert np.array_equal(lift(xi, u, dt).nav[3:5], rows)
+        for _ in range(10):
+            X = propagation_step(X, u, dt)[0]
+            xi = discrete_dynamics(xi, u, dt)
+            assert np.array_equal(X.nav[3:5], rows)
+            assert np.array_equal(xi.pose[3:5], rows)
 
 
 @pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.1])

@@ -3,20 +3,19 @@
 Pose errors are computed in the body frame of the ground truth (relative
 errors, no alignment step: runs start at the true pose, so drift in the
 unobservable directions is exactly what should be measured).  Consistency
-uses the filter's error covariance transported to the same local error
-coordinates at first order.
+maps those errors back to the filter's error coordinates and weighs them with
+the filter's covariance; every series is one stacked pass over the poses.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .io import _write_csv
-from .lie import SO3, skew, unskew
+from .lie import SO3, unskew
 from .symmetry import CheckedRecord
 
 CONVERGENCE_ANGLE = np.deg2rad(5.0)
@@ -53,20 +52,18 @@ class AlignedPair(CheckedRecord, _AlignedPair):
 def associate(gt_stamps, gt_rot, gt_pos, est_stamps, est_rot, est_pos,
               covariances=None, window: float = 0.005) -> AlignedPair:
     """Match estimate rows to ground-truth rows within the association
-    window (nearest timestamp)."""
+    window (nearest timestamp, the earlier one on a tie)."""
     gt_stamps = np.asarray(gt_stamps, dtype=float)
     est_stamps = np.asarray(est_stamps, dtype=float)
+    if len(gt_stamps) == 0:
+        raise ValueError("no overlapping timestamps within the association window")
     idx = np.searchsorted(gt_stamps, est_stamps)
-    keep_e, keep_g = [], []
-    for i, t in enumerate(est_stamps):
-        cands = [j for j in (idx[i] - 1, idx[i]) if 0 <= j < len(gt_stamps)]
-        if not cands:
-            continue
-        j = min(cands, key=lambda j: abs(gt_stamps[j] - t))
-        if abs(gt_stamps[j] - t) <= window:
-            keep_e.append(i)
-            keep_g.append(j)
-    if not keep_e:
+    # candidate rows (earlier, later); argmin keeps the earlier on a tie
+    cand = np.clip(np.stack([idx - 1, idx]), 0, len(gt_stamps) - 1)
+    gap = np.abs(gt_stamps[cand] - est_stamps)
+    keep_e = np.flatnonzero(gap.min(axis=0) <= window)
+    keep_g = cand[gap.argmin(axis=0), np.arange(len(idx))][keep_e]
+    if not len(keep_e):
         raise ValueError("no overlapping timestamps within the association window")
     return AlignedPair(
         stamps=est_stamps[keep_e],
@@ -83,12 +80,9 @@ def ape(pair: AlignedPair) -> tuple[np.ndarray, np.ndarray]:
     frame: (log(R^T Rhat), R^T (phat - p))."""
     if len(pair) == 0:
         raise ValueError("empty trajectory")
-    rot_err = np.zeros((len(pair), 3))
-    tr_err = np.zeros((len(pair), 3))
-    for i in range(len(pair)):
-        rot_err[i] = SO3.log(pair.gt_rot[i].T @ pair.est_rot[i])
-        tr_err[i] = pair.gt_rot[i].T @ (pair.est_pos[i] - pair.gt_pos[i])
-    return rot_err, tr_err
+    gt_rot_t = np.swapaxes(pair.gt_rot, -1, -2)
+    tr_err = (gt_rot_t @ (pair.est_pos - pair.gt_pos)[..., None])[..., 0]
+    return SO3.log(gt_rot_t @ pair.est_rot), tr_err
 
 
 def rmse(errors) -> float:
@@ -99,37 +93,27 @@ def rmse(errors) -> float:
     return float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
 
 
-def _local_error_transport(est_rot, est_pos) -> np.ndarray:
-    """First-order map from the filter's world-frame (rotation, position)
-    error to the body-frame pose error used by the metrics.
-
-    The filter's rotation error is log of (true attitude) (estimate)^T and
-    its position error includes the attitude-position coupling of that
-    world-frame convention; pushing both into the body frame gives
-    [[-R^T, 0], [R^T skew(p), -R^T]].
-    """
-    T = np.zeros((6, 6))
-    T[0:3, 0:3] = -est_rot.T
-    T[3:6, 0:3] = est_rot.T @ skew(est_pos)
-    T[3:6, 3:6] = -est_rot.T
-    return T
-
-
 def nees_series(pair: AlignedPair) -> np.ndarray:
-    """Per-pose normalized squared error (6 degrees of freedom each)."""
+    """Per-pose normalized squared error (6 degrees of freedom each).
+
+    The filter's rotation error is log of (true attitude) (estimate)^T, and
+    its position error carries that world-frame attitude coupling.  At the
+    estimate (R, p), the body-frame errors (e_r, e_t) of `ape` map back to it
+    exactly as z = (-R e_r, p x (-R e_r) - R e_t); the NEES is z^T P^-1 z."""
     if pair.covariances is None:
         raise ValueError("pose covariances required")
     rot_err, tr_err = ape(pair)
-    out = np.zeros(len(pair))
-    for i in range(len(pair)):
-        T = _local_error_transport(pair.est_rot[i], pair.est_pos[i])
-        cov_local = T @ pair.covariances[i] @ T.T
-        err = np.concatenate([rot_err[i], tr_err[i]])
-        try:
-            out[i] = float(err @ np.linalg.solve(cov_local, err))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"singular pose covariance at index {i}")
-    return out
+    z_rot = -(pair.est_rot @ rot_err[..., None])[..., 0]
+    z = np.concatenate(
+        [z_rot, np.cross(pair.est_pos, z_rot) - (pair.est_rot @ tr_err[..., None])[..., 0]],
+        axis=-1)
+    try:
+        # the explicit trailing axis keeps numpy 1.x and 2.x broadcasting alike
+        x = np.linalg.solve(pair.covariances, z[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        i = np.flatnonzero(np.linalg.slogdet(pair.covariances)[0] == 0.0)[0]
+        raise ValueError(f"singular pose covariance at index {i}")
+    return np.sum(z * x, axis=-1)
 
 
 def anees(pair: AlignedPair) -> float:
@@ -162,8 +146,8 @@ def drift(pair: AlignedPair, length: float) -> tuple[float, float]:
 
 def calibration_error(S_true, S_hat) -> float:
     """Geodesic angle between the true and estimated mount rotations, from
-    the skew part and the trace of D = S_true^T S_hat.  Unlike the log, this
-    is exact at every angle, pi included."""
+    the skew part and the trace of D = S_true^T S_hat: the angle of
+    `SO3.log(D)` without its axis, exact at every angle, pi included."""
     D = np.asarray(S_true).T @ np.asarray(S_hat)
     return float(np.arctan2(0.5 * np.linalg.norm(unskew(D - D.T)),
                             0.5 * (np.trace(D) - 1.0)))
@@ -249,29 +233,28 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
 
     write("trajectory.csv",
           ["t", "gt_x", "gt_y", "gt_z", "est_x", "est_y", "est_z"],
-          [[pair.stamps[i], *pair.gt_pos[i], *pair.est_pos[i]]
-           for i in range(len(pair))])
+          np.column_stack([pair.stamps, pair.gt_pos, pair.est_pos]))
+    norms = np.zeros((0, 2))
     if len(pair):
-        rot_err, tr_err = ape(pair)
-        write("ape.csv", ["t", "rotation_rad", "translation_m"],
-              [[pair.stamps[i], np.linalg.norm(rot_err[i]), np.linalg.norm(tr_err[i])]
-               for i in range(len(pair))])
-    else:
-        write("ape.csv", ["t", "rotation_rad", "translation_m"], [])
+        norms = np.linalg.norm(np.stack(ape(pair), axis=1), axis=-1)
+    write("ape.csv", ["t", "rotation_rad", "translation_m"],
+          np.column_stack([pair.stamps, norms]))
     if e_angle is not None:
         e_angle = np.asarray(e_angle, dtype=float)
         m = min(len(e_angle), len(pair))
         write("calibration.csv", ["t", "e_angle_rad"],
-              [[pair.stamps[i], e_angle[i]] for i in range(m)])
+              np.column_stack([pair.stamps[:m], e_angle[:m]]))
     if pair.covariances is not None and len(pair):
         series = nees_series(pair)
         running = np.cumsum(series) / (6.0 * np.arange(1, len(series) + 1))
         write("nees.csv", ["t", "nees", "running_anees"],
-              [[pair.stamps[i], series[i], running[i]] for i in range(len(pair))])
+              np.column_stack([pair.stamps, series, running]))
     return created
 
 
 def write_metrics(report: MetricsReport, path) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report.as_dict(), f, indent=2)
         f.write("\n")

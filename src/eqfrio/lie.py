@@ -31,6 +31,7 @@ KAPPA_MIN = 1e-6
 
 _SERIES_CUTOFF = 1e-14
 _SERIES_MAX_TERMS = 30
+_UNSKEW_ROWS, _UNSKEW_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
 
 _ID3 = np.eye(3)
 _ID4 = np.eye(4)
@@ -52,8 +53,7 @@ def skew(v) -> np.ndarray:
 
 
 def unskew(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
+    return np.asarray(M, dtype=float)[..., _UNSKEW_ROWS, _UNSKEW_COLS]
 
 
 def _series(core: np.ndarray, first_denominator: int) -> np.ndarray:
@@ -173,15 +173,27 @@ class SO3:
 
     @staticmethod
     def log(R) -> np.ndarray:
+        """Rotation vector of a 3x3 rotation or of each in a (..., 3, 3)
+        stack, at every angle up to pi.  With w the skew part, the angle is
+        atan2(|w|, (tr R - 1)/2) and the vector angle w/|w|.  Near pi, where
+        w has lost its digits, the axis comes from the symmetric part
+        (R + R^T)/2 - cos I = (1 - cos) a a^T and takes its sign from w."""
         R = np.asarray(R, dtype=float)
-        cos_angle = np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0)
-        angle = np.arccos(cos_angle)
-        if angle >= np.pi - 1e-6:
-            raise ValueError("log domain: rotation angle too close to pi")
-        v = unskew(0.5 * (R - R.T))
-        if angle < 1e-8:
-            return v
-        return (angle / np.sin(angle)) * v
+        w = 0.5 * unskew(R - np.swapaxes(R, -1, -2))
+        s = np.sqrt(w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2])
+        c = 0.5 * (R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2] - 1.0)
+        angle = np.arctan2(s, c)
+        # at s = 0, w = 0 and the factor only needs to be finite
+        out = w * (angle / np.where(s > 0.0, s, 1.0))[..., None]
+        near = c < -0.9  # past 154 deg; before it w/|w| keeps the axis to eps / 0.44
+        if near.any():
+            Rn, cn, wn = R[near], c[near], w[near]
+            B = 0.5 * (Rn + np.swapaxes(Rn, -1, -2)) - cn[:, None, None] * _ID3
+            # the column of the largest diagonal entry is (1 - cos) a_k a
+            i, k = np.arange(len(cn)), np.argmax(np.diagonal(B, 0, -2, -1), axis=-1)
+            axis = B[i, :, k] / np.sqrt((1.0 - cn) * B[i, k, k])[:, None]
+            out[near] = np.copysign(angle[near], np.sum(axis * wn, axis=-1))[:, None] * axis
+        return out
 
     @staticmethod
     def adjoint(R) -> np.ndarray:

@@ -113,6 +113,31 @@ def test_evaluate_rejects_bad_calibration_error_value(workspace, run_dir, tmp_pa
     assert f"{path}:{len(lines)}" in capsys.readouterr().err
 
 
+def test_evaluate_completes_on_a_half_turn_attitude_error(workspace, run_dir, tmp_path):
+    # one estimate row turned by exactly pi about body x: a diverged run is
+    # still evaluated
+    import shutil
+
+    est = tmp_path / "est"
+    shutil.copytree(run_dir, est)
+    path = est / "estimate.csv"
+    lines = path.read_text().splitlines()
+    gt_row = (workspace / "data" / "groundtruth.csv").read_text().splitlines()[100]
+    t, w, x, y, z = gt_row.split(",")[:5]
+    row = lines[100].split(",")
+    assert row[0] == t
+    # q * (0, 1, 0, 0) = (-x, w, z, -y)
+    row[1:5] = [repr(-float(x)), w, z, repr(-float(y))]
+    lines[100] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--est", str(est),
+                 "--gt", str(workspace / "data" / "groundtruth.csv"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert np.isfinite(metrics["rotation_rmse_deg"])
+    assert np.isfinite(metrics["anees"])
+
+
 def test_run_rejects_bad_config(workspace, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not.a.key = 1\n")

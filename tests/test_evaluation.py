@@ -17,7 +17,7 @@ from eqfrio.evaluation import (
     rmse,
     trajectory_length,
 )
-from eqfrio.lie import SO3
+from eqfrio.lie import SO3, skew
 from eqfrio.pipeline import RUN_SCHEMA, simulate_and_run
 from eqfrio.simulator import SimConfig, TrajectorySpec
 from helpers import random_rotation
@@ -204,8 +204,8 @@ def test_calibration_error_values():
 
 
 def test_calibration_error_half_turn():
-    # the log is undefined at pi; the metric must not go through it, and a
-    # run started half a turn off must complete
+    # the metric is exact at pi, and a run started half a turn off must
+    # complete
     rng = np.random.default_rng(130)
     S = random_rotation(rng)
     assert calibration_error(S, S @ np.diag([-1.0, 1.0, -1.0])) == pytest.approx(
@@ -247,6 +247,61 @@ def test_associate_window():
     with pytest.raises(ValueError, match="overlapping"):
         associate(gt_t, rots, pos, est_t2, np.broadcast_to(np.eye(3), (1, 3, 3)),
                   np.zeros((1, 3)))
+
+
+def test_associate_tie_takes_earlier_stamp():
+    # 0.125 is exactly as far from 0.0 as from 0.25; the earlier row wins
+    gt_t = np.array([0.0, 0.25, 0.5])
+    gt_pos = np.arange(9.0).reshape(3, 3)
+    rots = np.broadcast_to(np.eye(3), (3, 3, 3))
+    pair = associate(gt_t, rots, gt_pos, np.array([0.125, 0.375]), rots[:2],
+                     np.zeros((2, 3)), window=0.2)
+    assert np.array_equal(pair.gt_pos, gt_pos[[0, 1]])
+
+
+def test_nees_matches_transported_covariance():
+    # reference: push the filter's covariance into the body-frame error
+    # coordinates with T = [[-R^T, 0], [R^T skew(p), -R^T]] and weigh the ape
+    # errors with it, one pose at a time
+    rng = np.random.default_rng(133)
+    A = rng.standard_normal((8, 6, 6))
+    covs = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(6)
+    pair = make_pair(rng, n=8, rot_err=0.3, pos_err=0.5, covs=covs)
+    rot_err, tr_err = ape(pair)
+    expected = []
+    for R, p, P, e_r, e_t in zip(pair.est_rot, pair.est_pos, covs, rot_err, tr_err):
+        T = np.zeros((6, 6))
+        T[0:3, 0:3] = T[3:6, 3:6] = -R.T
+        T[3:6, 0:3] = R.T @ skew(p)
+        err = np.concatenate([e_r, e_t])
+        expected.append(err @ np.linalg.solve(T @ P @ T.T, err))
+    assert np.allclose(nees_series(pair), expected, rtol=1e-11, atol=0.0)
+
+
+def test_nees_series_names_first_singular_covariance():
+    rng = np.random.default_rng(132)
+    covs = np.stack([np.eye(6)] * 5)
+    covs[2] = 0.0
+    covs[4] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    pair = make_pair(rng, n=5, rot_err=0.01, pos_err=0.02, covs=covs)
+    with pytest.raises(ValueError, match="singular pose covariance at index 2$"):
+        nees_series(pair)
+
+
+def test_evaluate_run_survives_near_half_turn():
+    # a diverged run, one attitude off by pi - 1e-7, is evaluated, not a crash
+    n = 3
+    gt_rot = np.stack([np.eye(3)] * n)
+    est_rot = gt_rot.copy()
+    est_rot[1] = SO3.exp([0.0, np.pi - 1e-7, 0.0])
+    pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    pair = AlignedPair(np.arange(n, dtype=float), gt_rot, pos, est_rot, pos,
+                       np.stack([np.eye(6)] * n))
+    report = evaluate_run(pair)
+    assert report.rotation_rmse_deg == pytest.approx(
+        np.rad2deg((np.pi - 1e-7) / np.sqrt(3.0)), rel=1e-12)
+    assert np.isfinite(report.anees)
+    assert report.convergence == "fail"
 
 
 def test_evaluate_run_report_complete():

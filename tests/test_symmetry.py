@@ -423,11 +423,11 @@ def test_error_nonzero_off_consistency():
     assert np.linalg.norm(eps) > 1e-5
 
 
-def test_error_coordinates_log_domain_error_propagates():
-    # a pi-rotation discrepancy sits outside the chart and must be reported
+def test_error_coordinates_at_half_turn():
+    # a pi-rotation discrepancy is on the chart's boundary: a finite error
+    # whose attitude block is the half turn
     origin = identity_state()
     X_hat = group_identity(0)
-    xi = identity_state()
     from eqfrio.lie import SO3
 
     flipped = SystemState(
@@ -436,5 +436,6 @@ def test_error_coordinates_log_domain_error_propagates():
         bias=np.zeros(9),
         cal=np.eye(4),
     )
-    with pytest.raises(ValueError, match="log domain"):
-        error_coordinates(X_hat, flipped, origin)
+    eps = error_coordinates(X_hat, flipped, origin)
+    assert np.all(np.isfinite(eps))
+    assert np.linalg.norm(eps[0:3]) == pytest.approx(np.pi, abs=1e-15)

@@ -82,7 +82,7 @@ def cmd_run(data_dir, config_path, out_dir) -> int:
                             result.est_pos, result.est_vel, result.pose_cov)
     if result.e_angle is not None:
         eqio._write_csv(out / "calibration_error.csv", _CAL_ERROR_HEADER,
-                        zip(result.times, result.e_angle))
+                        np.column_stack([result.times, result.e_angle]))
     belief = result.final_belief
     with open(out / "final_belief.json", "w", encoding="utf-8") as f:
         json.dump({

@@ -40,7 +40,7 @@ from .symmetry import (
     SystemInput,
     SystemState,
     error_inverse,
-    gravity_generator,
+    gravity_step,
     group_compose,
     identity_state,
     state_action_inverse,
@@ -126,22 +126,6 @@ def estimated_state(belief: FilterBelief) -> SystemState:
     return SystemState(belief.sym.nav, bias, cal, belief.sym.clones, belief.stamps)
 
 
-_GRAVITY_STEP_CACHE: dict = {}
-
-
-def _gravity_step(dt: float, gravity) -> tuple[np.ndarray, np.ndarray]:
-    """Gravity increment exponential and its adjoint; constant per step size,
-    so cached (one entry per dt/gravity pair seen)."""
-    key = (dt, tuple(np.asarray(gravity, dtype=float)))
-    hit = _GRAVITY_STEP_CACHE.get(key)
-    if hit is None:
-        grav_exp = Gal3.exp(-dt * gravity_generator(gravity))
-        hit = (grav_exp, Gal3.adjoint(grav_exp))
-        _GRAVITY_STEP_CACHE.clear()
-        _GRAVITY_STEP_CACHE[key] = hit
-    return hit
-
-
 def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
                      gravity=GRAVITY) -> tuple[SymmetryElement, np.ndarray, np.ndarray]:
     """One fused prediction step: the next group element, and the error
@@ -159,7 +143,8 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     adjoints of G and of the origin-input increment D E D^-1, plus left
     Jacobians.  On the static clones they are the identity and zero.
     """
-    grav_exp, grav_adj = _gravity_step(dt, gravity)
+    grav_exp = gravity_step(dt, gravity)
+    grav_adj = Gal3.adjoint(grav_exp)
     nav_inv, bias, cal_est = _core_estimate(X)
     corrected = u.nav - np.append(bias, 0.0)
     step = X.nav @ Gal3.exp(dt * corrected)

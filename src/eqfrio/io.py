@@ -68,14 +68,15 @@ def matrix_from_quat(q) -> np.ndarray:
 
 # --- generic CSV helpers --------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    import csv
-
+def _write_csv(path, header, table):
+    """One line per row of the 2-D table, comma-separated and CRLF-terminated
+    as the `csv` module writes them; an integer-valued float prints as the
+    integer."""
+    line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
+    rows = np.asarray(table, dtype=float).reshape(-1, len(header)).tolist()
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+        f.write(",".join(header) + "\r\n")
+        f.writelines(line % tuple(row) for row in rows)
 
 
 def _read_csv(path, expected_header):
@@ -115,9 +116,7 @@ EST_HEADER = GT_HEADER + [f"c{i}{j}" for i in range(6) for j in range(i, 6)]
 
 
 def write_imu_csv(path, times, gyro, accel):
-    rows = [[float(t), *map(float, g), *map(float, a)]
-            for t, g, a in zip(times, gyro, accel)]
-    _write_csv(path, IMU_HEADER, rows)
+    _write_csv(path, IMU_HEADER, np.column_stack([times, gyro, accel]))
 
 
 def read_imu_csv(path):
@@ -126,12 +125,9 @@ def read_imu_csv(path):
 
 
 def write_radar_csv(path, scans):
-    rows = []
-    for scan in scans:
-        for det in scan.detections:
-            rows.append([float(scan.stamp), scan.scan_id, det.feature_id,
-                         *map(float, det.point), float(det.doppler)])
-    _write_csv(path, RADAR_HEADER, rows)
+    _write_csv(path, RADAR_HEADER, [
+        [scan.stamp, scan.scan_id, det.feature_id, *det.point, det.doppler]
+        for scan in scans for det in scan.detections])
 
 
 def read_radar_csv(path):
@@ -150,12 +146,13 @@ def read_radar_csv(path):
                  for s, i, dets in scans)
 
 
+def _quats(rotations) -> np.ndarray:
+    return np.reshape([quat_from_matrix(R) for R in rotations], (-1, 4))
+
+
 def write_groundtruth_csv(path, times, rotations, positions, velocities):
-    rows = []
-    for t, R, p, v in zip(times, rotations, positions, velocities):
-        rows.append([float(t), *map(float, quat_from_matrix(R)),
-                     *map(float, p), *map(float, v)])
-    _write_csv(path, GT_HEADER, rows)
+    _write_csv(path, GT_HEADER,
+               np.column_stack([times, _quats(rotations), positions, velocities]))
 
 
 def read_groundtruth_csv(path):
@@ -166,12 +163,10 @@ def read_groundtruth_csv(path):
 
 
 def write_estimate_csv(path, times, rotations, positions, velocities, covariances):
-    rows = []
-    iu = np.triu_indices(6)
-    for t, R, p, v, P in zip(times, rotations, positions, velocities, covariances):
-        rows.append([float(t), *map(float, quat_from_matrix(R)), *map(float, p),
-                     *map(float, v), *map(float, np.asarray(P)[iu])])
-    _write_csv(path, EST_HEADER, rows)
+    rows, cols = np.triu_indices(6)
+    covs = np.reshape(covariances, (-1, 6, 6))[:, rows, cols]
+    _write_csv(path, EST_HEADER, np.column_stack(
+        [times, _quats(rotations), positions, velocities, covs]))
 
 
 def read_estimate_csv(path):

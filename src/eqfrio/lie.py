@@ -97,33 +97,42 @@ def _left_jacobian_stable(group, u: np.ndarray) -> np.ndarray:
     return V
 
 
+# Taylor coefficients in t^2 of (1 - cos t)/t^2, (t - sin t)/t^3 and
+# (cos t - 1 + t^2/2)/t^4, (-1)^k/(2k + n)! for n = 2, 3, 4; one triple per
+# power k, highest first
+_SO3_SERIES = tuple(tuple((-1) ** k / math.factorial(2 * k + n) for n in (2, 3, 4))
+                    for k in reversed(range(10)))
+
+
+def _so3_coefficients(t2: float) -> tuple[float, float, float]:
+    """(1 - cos t)/t^2, (t - sin t)/t^3 and (cos t - 1 + t^2/2)/t^4 at t^2.
+    The trig forms cancel for small t (the last loses 1e-7 relative at
+    t = 0.01), so below t^2 = 1 ten series terms by Horner's rule give them,
+    to rounding."""
+    if t2 < 1.0:
+        c1 = c2 = c3 = 0.0
+        for a1, a2, a3 in _SO3_SERIES:
+            c1, c2, c3 = c1 * t2 + a1, c2 * t2 + a2, c3 * t2 + a3
+        return c1, c2, c3
+    t = math.sqrt(t2)
+    cos = math.cos(t)
+    return (1.0 - cos) / t2, (t - math.sin(t)) / (t2 * t), (cos - 1.0 + 0.5 * t2) / (t2 * t2)
+
+
 def _so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:
-    """I + (1-cos)/t^2 W + (t-sin)/t^3 W^2, Taylor below the trig-stable range."""
-    t2 = float(rotvec @ rotvec)
+    """I + (1-cos)/t^2 W + (t-sin)/t^3 W^2."""
+    c1, c2, _ = _so3_coefficients(float(rotvec @ rotvec))
     W = skew(rotvec)
-    if t2 < 1e-4:
-        c1 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c2 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        t = math.sqrt(t2)
-        c1 = (1.0 - math.cos(t)) / t2
-        c2 = (t - math.sin(t)) / (t2 * t)
     return _ID3 + c1 * W + c2 * (W @ W)
 
 
-def _so3_second_jacobian(rotvec: np.ndarray) -> np.ndarray:
-    # sum_k skew^k / (k+2)!; couples velocity into position through the
-    # Gal(3) time slot.
-    t2 = float(rotvec @ rotvec)
+def _so3_jacobians(rotvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left Jacobian and its second-order sibling sum_k W^k/(k+2)!,
+    which couples velocity into position through the Gal(3) time slot."""
+    c1, c2, c3 = _so3_coefficients(float(rotvec @ rotvec))
     W = skew(rotvec)
-    if t2 < 1e-4:
-        c1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        c2 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
-    else:
-        t = math.sqrt(t2)
-        c1 = (t - math.sin(t)) / (t2 * t)
-        c2 = (math.cos(t) - 1.0 + 0.5 * t2) / (t2 * t2)
-    return 0.5 * _ID3 + c1 * W + c2 * (W @ W)
+    W2 = W @ W
+    return _ID3 + c1 * W + c2 * W2, 0.5 * _ID3 + c2 * W + c3 * W2
 
 
 def _check_coords(tag: str, v, dim: int) -> np.ndarray:
@@ -415,8 +424,7 @@ class Gal3:
     def exp(u) -> np.ndarray:
         u = _check_coords("gal3", u, 10)
         rot, vel, pos, time = u[0:3], u[3:6], u[6:9], u[9]
-        J = _so3_left_jacobian(rot)
-        N = _so3_second_jacobian(rot)
+        J, N = _so3_jacobians(rot)
         return Gal3.from_components(
             SO3.exp(rot), J @ vel, J @ pos + time * (N @ vel), time
         )
@@ -425,8 +433,7 @@ class Gal3:
     def log(X) -> np.ndarray:
         R, v, p, c = Gal3.components(X)
         rot = SO3.log(R)
-        J = _so3_left_jacobian(rot)
-        N = _so3_second_jacobian(rot)
+        J, N = _so3_jacobians(rot)
         vel = np.linalg.solve(J, v)
         pos = np.linalg.solve(J, p - c * (N @ vel))
         return np.concatenate([rot, vel, pos, [c]])

@@ -80,53 +80,53 @@ class TrajectorySpec(CheckedRecord, _TrajectorySpec):
 
 
 class TrajectorySampler:
-    """Closed-form evaluation of the reference motion."""
+    """Closed-form evaluation of the reference motion at a time t or at each
+    of an array of times, stacked along a leading axis."""
 
     def __init__(self, spec: TrajectorySpec):
         self.spec = spec
         self._amp = np.asarray(spec.pos_amp, dtype=float)
         self._om = 2.0 * np.pi * np.asarray(spec.pos_freq, dtype=float)
         self._ph = np.asarray(spec.pos_phase, dtype=float)
+        # the (roll, pitch, yaw) profile
+        self._ang_amp = np.array([spec.roll_amp, spec.pitch_amp, spec.yaw_amp])
+        self._ang_om = 2 * np.pi * np.array([spec.roll_freq, spec.pitch_freq, spec.yaw_freq])
+        self._ang_ph = np.array([spec.roll_phase, spec.pitch_phase, spec.yaw_phase])
 
-    def position(self, t: float) -> np.ndarray:
-        return self._amp * np.sin(self._om * t + self._ph)
+    def position(self, t) -> np.ndarray:
+        return self._amp * np.sin(self._om * np.asarray(t)[..., None] + self._ph)
 
-    def velocity(self, t: float) -> np.ndarray:
-        return self._amp * self._om * np.cos(self._om * t + self._ph)
+    def velocity(self, t) -> np.ndarray:
+        return self._amp * self._om * np.cos(self._om * np.asarray(t)[..., None] + self._ph)
 
-    def accel_world(self, t: float) -> np.ndarray:
-        return -self._amp * self._om**2 * np.sin(self._om * t + self._ph)
+    def accel_world(self, t) -> np.ndarray:
+        return -self._amp * self._om**2 * np.sin(self._om * np.asarray(t)[..., None] + self._ph)
 
-    def _angles(self, t: float):
-        s = self.spec
-        roll = s.roll_amp * np.sin(2 * np.pi * s.roll_freq * t + s.roll_phase)
-        pitch = s.pitch_amp * np.sin(2 * np.pi * s.pitch_freq * t + s.pitch_phase)
-        yaw = s.yaw_amp * np.sin(2 * np.pi * s.yaw_freq * t + s.yaw_phase)
-        droll = 2 * np.pi * s.roll_freq * s.roll_amp * np.cos(
-            2 * np.pi * s.roll_freq * t + s.roll_phase)
-        dpitch = 2 * np.pi * s.pitch_freq * s.pitch_amp * np.cos(
-            2 * np.pi * s.pitch_freq * t + s.pitch_phase)
-        dyaw = 2 * np.pi * s.yaw_freq * s.yaw_amp * np.cos(
-            2 * np.pi * s.yaw_freq * t + s.yaw_phase)
-        return roll, pitch, yaw, droll, dpitch, dyaw
+    def _angles(self, t):
+        """(roll, pitch, yaw) and their rates, each of shape (..., 3)."""
+        phase = self._ang_om * np.asarray(t)[..., None] + self._ang_ph
+        return self._ang_amp * np.sin(phase), self._ang_om * self._ang_amp * np.cos(phase)
 
-    def attitude(self, t: float) -> np.ndarray:
-        roll, pitch, yaw, *_ = self._angles(t)
-        Rz = SO3.exp(np.array([0.0, 0.0, yaw]))
-        Ry = SO3.exp(np.array([0.0, pitch, 0.0]))
-        Rx = SO3.exp(np.array([roll, 0.0, 0.0]))
-        return Rz @ Ry @ Rx
+    def attitude(self, t) -> np.ndarray:
+        """Rz(yaw) Ry(pitch) Rx(roll), shape (..., 3, 3)."""
+        angles = self._angles(t)[0].T
+        (cr, cp, cy), (sr, sp, sy) = np.cos(angles), np.sin(angles)
+        return np.stack([
+            np.stack([cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr], axis=-1),
+            np.stack([sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr], axis=-1),
+            np.stack([-sp, cp * sr, cp * cr], axis=-1),
+        ], axis=-2)
 
-    def body_rates(self, t: float) -> np.ndarray:
+    def body_rates(self, t) -> np.ndarray:
         # body rates of the yaw-pitch-roll chain in closed form
-        roll, pitch, yaw, droll, dpitch, dyaw = self._angles(t)
-        cr, sr = np.cos(roll), np.sin(roll)
-        cp, sp = np.cos(pitch), np.sin(pitch)
-        return np.array([
+        angles, rates = self._angles(t)
+        (cr, cp, _), (sr, sp, _) = np.cos(angles.T), np.sin(angles.T)
+        droll, dpitch, dyaw = rates.T
+        return np.stack([
             droll - dyaw * sp,
             dpitch * cr + dyaw * cp * sr,
             -dpitch * sr + dyaw * cp * cr,
-        ])
+        ], axis=-1)
 
     def state(self, t: float) -> np.ndarray:
         return SE23.from_components(self.attitude(t), self.velocity(t),
@@ -187,23 +187,12 @@ class SimOutput(NamedTuple):
     config: SimConfig
 
 
-def synthesize_imu(sampler: TrajectorySampler, t: float, gyro_bias=None,
-                   accel_bias=None, gyro_noise=None, accel_noise=None,
-                   gravity=GRAVITY):
-    """One IMU record at time t: body rates and specific force, with the
-    given bias values and optional pre-drawn noise samples added."""
+def synthesize_imu(sampler: TrajectorySampler, t, gravity=GRAVITY):
+    """Noise-free, bias-free IMU records at a time t or at each of an array
+    of times: body rates and specific force, each of shape (..., 3)."""
     R = sampler.attitude(t)
-    gyro = sampler.body_rates(t)
-    accel = R.T @ (sampler.accel_world(t) - gravity)
-    if gyro_bias is not None:
-        gyro = gyro + gyro_bias
-    if accel_bias is not None:
-        accel = accel + accel_bias
-    if gyro_noise is not None:
-        gyro = gyro + gyro_noise
-    if accel_noise is not None:
-        accel = accel + accel_noise
-    return gyro, accel
+    accel = np.einsum("...ji,...j->...i", R, sampler.accel_world(t) - gravity)
+    return sampler.body_rates(t), accel
 
 
 def synthesize_radar_scan(state: SystemState, gyro, landmarks, config: SimConfig,
@@ -251,7 +240,7 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
                         bias=np.concatenate([bias_g, bias_a, np.zeros(3)]),
                         cal=config.extrinsics())
 
-    times = np.zeros(n)
+    times = np.arange(n) * dt
     rotations = np.zeros((n, 3, 3))
     velocities = np.zeros((n, 3))
     positions = np.zeros((n, 3))
@@ -261,20 +250,18 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
     imu_accel = np.zeros((n, 3))
     scans = []
 
+    body_rates, specific_force = synthesize_imu(sampler, times)
     sqrt_rate = np.sqrt(config.imu_rate)
     sqrt_dt = np.sqrt(dt)
-    for k in range(n):
-        t = k * dt
-        times[k] = t
+    for k, t in enumerate(times.tolist()):
         rotations[k] = state.attitude()
         velocities[k] = state.velocity()
         positions[k] = state.position()
         gyro_bias[k] = state.bias[0:3]
         accel_bias[k] = state.bias[3:6]
 
-        gyro_clean, accel_clean = synthesize_imu(
-            sampler, t, gyro_bias=state.bias[0:3], accel_bias=state.bias[3:6]
-        )
+        gyro_clean = body_rates[k] + state.bias[0:3]
+        accel_clean = specific_force[k] + state.bias[3:6]
         imu_gyro[k] = gyro_clean + config.gyro_noise * sqrt_rate * rng.standard_normal(3)
         imu_accel[k] = accel_clean + config.accel_noise * sqrt_rate * rng.standard_normal(3)
 

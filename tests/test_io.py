@@ -101,6 +101,42 @@ def test_estimate_csv_roundtrip(tmp_path):
     assert np.array_equal(covs, covs2)
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    # the csv module's dialect: comma-separated, CRLF line ends, no quoting;
+    # floats as %.17g, so an integer value prints as the integer
+    path = tmp_path / "imu.csv"
+    write_imu_csv(path, np.array([0.02]), np.array([[0.1, -2.5e-7, 0.0]]),
+                  np.array([[1.0 / 3.0, -9.81, 12.0]]))
+    assert path.read_bytes() == (
+        b"t,wx,wy,wz,ax,ay,az\r\n"
+        b"0.02,0.10000000000000001,-2.4999999999999999e-07,0,"
+        b"0.33333333333333331,-9.8100000000000005,12\r\n")
+
+    scans = (
+        RadarScan(stamp=0.1, scan_id=0, detections=(
+            RadarDetection(-1, np.array([5.0, -0.25, 1e-3]), -0.7),
+            RadarDetection(17, np.array([2.0 / 3.0, 0.0, -4.0]), 0.0))),
+        RadarScan(stamp=0.2, scan_id=1, detections=()),
+        RadarScan(stamp=0.30000000000000004, scan_id=12, detections=(
+            RadarDetection(3, np.array([1.5, 2.0, -0.5]), 1.25),)),
+    )
+    path = tmp_path / "radar.csv"
+    write_radar_csv(path, scans)
+    assert path.read_bytes() == (
+        b"t,scan_id,feature_id,px,py,pz,doppler\r\n"
+        b"0.10000000000000001,0,-1,5,-0.25,0.001,-0.69999999999999996\r\n"
+        b"0.10000000000000001,0,17,0.66666666666666663,0,-4,0\r\n"
+        b"0.30000000000000004,12,3,1.5,2,-0.5,1.25\r\n")
+    write_radar_csv(path, scans[1:2])
+    assert path.read_bytes() == b"t,scan_id,feature_id,px,py,pz,doppler\r\n"
+
+    path = tmp_path / "groundtruth.csv"
+    write_groundtruth_csv(path, [1.5], [np.eye(3)], [[0.5, -1.0, 2.0]], [[0.0, 0.25, -3.0]])
+    assert path.read_bytes() == (
+        b"t,qw,qx,qy,qz,px,py,pz,vx,vy,vz\r\n"
+        b"1.5,1,0,0,0,0.5,-1,2,0,0.25,-3\r\n")
+
+
 def test_csv_header_mismatch(tmp_path):
     path = tmp_path / "imu.csv"
     path.write_text("a,b\n1,2\n")

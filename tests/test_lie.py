@@ -323,10 +323,10 @@ LINEAR = st.lists(st.floats(-50.0, 50.0), min_size=7, max_size=7)
 FAR_ANGLE = np.pi - 1e-3
 NEAR_PI = np.pi - 1e-12
 # log(exp(u)) relative error over [0, pi - 1e-12], measured worst in 20,000
-# random draws with arms up to 50: so3 5.4e-16, se3 9.3e-16, se23 1.2e-15,
-# gal3 6.6e-13 (gal3 at angles just above 0.01, where the second Jacobian's
-# (cos t - 1 + t^2/2) / t^4 cancels; no rotation log is involved)
-ROUNDTRIP_RTOL = {"so3": 5e-15, "se3": 5e-15, "se23": 5e-15, "gal3": 1e-12}
+# random draws with arms up to 50: so3 4.9e-16, se3 8.6e-16, se23 8.1e-16,
+# gal3 1.1e-14 (gal3 at any angle: its log subtracts the time coupling
+# c N(rot) vel, up to 2,500 here, from the position)
+ROUNDTRIP_RTOL = {"so3": 5e-15, "se3": 5e-15, "se23": 5e-15, "gal3": 5e-14}
 
 
 def _coords(group, angle, axis, linear):
@@ -357,6 +357,19 @@ def test_left_jacobian_matches_block_exponential(tag, group, angle, axis, linear
     block[:n, :n] = group.little_adjoint(u)
     block[:n, n:] = np.eye(n)
     assert_close(group.left_jacobian(u), expm(block)[:n, n:], 1e-13, f"{tag} Jl")
+
+
+def test_gal3_exp_matches_expm_at_small_rotations():
+    # rotations of 0.01-0.07 rad are the run loop's per-step range; there the
+    # trig forms of the Jacobian coefficients cancel, so the series must hold
+    # them.  Measured worst 3.1e-15 (2.8e-13 with the trig forms).
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        axis = rng.standard_normal(3)
+        u = np.concatenate([rng.uniform(0.01, 0.07) * axis / np.linalg.norm(axis),
+                            rng.uniform(-50.0, 50.0, 6), [rng.uniform(-1.0, 1.0)]])
+        desired = expm(Gal3.wedge(u))
+        assert np.abs(Gal3.exp(u) - desired).max() <= 1e-14 * np.abs(desired).max()
 
 
 # --- SE2(3) inside Gal(3) ----------------------------------------------------

@@ -55,9 +55,33 @@ def test_body_rates_match_attitude_derivative():
 def test_excited_preset_exercises_all_axes():
     sampler = TrajectorySampler(TrajectorySpec.excited(30.0))
     ts = np.linspace(0.0, 30.0, 600)
-    angles = np.array([sampler._angles(t)[0:3] for t in ts])
+    angles = sampler._angles(ts)[0]
+    assert angles.shape == (600, 3)
     excursions = angles.max(axis=0) - angles.min(axis=0)
     assert np.all(excursions > 0.3)
+
+
+def test_stacked_imu_equals_per_time_records():
+    sampler = TrajectorySampler(TrajectorySpec.excited(10.0))
+    ts = np.linspace(0.0, 10.0, 301)
+    gyro, accel = synthesize_imu(sampler, ts)
+    assert gyro.shape == accel.shape == (301, 3)
+    for t, g, a in zip(ts, gyro, accel):
+        g1, a1 = synthesize_imu(sampler, t)
+        assert np.abs(g - g1).max() <= 1e-15 * max(np.abs(g1).max(), 1.0)
+        assert np.abs(a - a1).max() <= 1e-15 * np.abs(a1).max()
+
+
+def test_attitude_is_yaw_pitch_roll_chain():
+    sampler = TrajectorySampler(TrajectorySpec.excited(10.0))
+    ts = np.linspace(0.0, 10.0, 301)
+    R = sampler.attitude(ts)
+    assert R.shape == (301, 3, 3)
+    assert np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max() <= 1e-15
+    for t, Rt in zip(ts, R):
+        roll, pitch, yaw = sampler._angles(t)[0]
+        chain = SO3.exp([0.0, 0.0, yaw]) @ SO3.exp([0.0, pitch, 0.0]) @ SO3.exp([roll, 0.0, 0.0])
+        assert np.abs(Rt - chain).max() <= 1e-15
 
 
 def test_imu_hover_measures_gravity_reaction():

@@ -5,13 +5,15 @@ import pytest
 from scipy.linalg import expm
 
 from eqfrio.filter import propagation_step
-from eqfrio.lie import SE3, SE23
+from eqfrio.lie import SE3, SE23, Gal3
 from eqfrio.symmetry import (
     SystemInput,
     SystemState,
     discrete_dynamics,
     error_coordinates,
     error_inverse,
+    gravity_generator,
+    gravity_step,
     group_compose,
     group_inverse,
     group_log,
@@ -228,6 +230,14 @@ def test_dynamics_gravity_free_fall():
     out = discrete_dynamics(xi, u, 0.1)
     assert np.allclose(out.velocity(), [1.0, 0.0, -0.981], atol=1e-12)
     assert np.allclose(out.position(), [0.1, 0.0, -0.04905], atol=1e-12)
+
+
+def test_gravity_step_is_the_gravity_exponential_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        dt = 10.0 ** rng.uniform(-4.0, 0.0)
+        g = rng.standard_normal(3) * 10.0 ** rng.uniform(-1.0, 1.5)
+        assert np.array_equal(gravity_step(dt, g), Gal3.exp(-dt * gravity_generator(g)))
 
 
 def test_dynamics_matches_rk4_oracle():

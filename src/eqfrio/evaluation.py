@@ -144,13 +144,15 @@ def drift(pair: AlignedPair, length: float) -> tuple[float, float]:
     return float(pos_drift), float(yaw_drift)
 
 
-def calibration_error(S_true, S_hat) -> float:
-    """Geodesic angle between the true and estimated mount rotations, from
-    the skew part and the trace of D = S_true^T S_hat: the angle of
-    `SO3.log(D)` without its axis, exact at every angle, pi included."""
-    D = np.asarray(S_true).T @ np.asarray(S_hat)
-    return float(np.arctan2(0.5 * np.linalg.norm(unskew(D - D.T)),
-                            0.5 * (np.trace(D) - 1.0)))
+def calibration_error(S_true, S_hat):
+    """Geodesic angle between the true and estimated mount rotations, one
+    pair or (..., 3, 3) stacks of them, from the skew part and the trace of
+    D = S_true^T S_hat: the angle of `SO3.log(D)` without its axis, exact at
+    every angle, pi included.  A single pair gives a float."""
+    D = np.swapaxes(S_true, -1, -2) @ np.asarray(S_hat)
+    angle = np.arctan2(0.5 * np.linalg.norm(unskew(D - np.swapaxes(D, -1, -2)), axis=-1),
+                       0.5 * (np.trace(D, axis1=-2, axis2=-1) - 1.0))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def classify_convergence(e_angle: np.ndarray, threshold: float = CONVERGENCE_ANGLE) -> str:

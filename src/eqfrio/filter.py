@@ -50,6 +50,7 @@ CHI2_GATE_1DOF = 6.63   # 99% quantile
 # a step may exceed dt_max by this factor: stamps on a dt_max grid differ by
 # dt_max plus a few ulps of the stamp
 _DT_SLACK = 1.0 + 1e-9
+_ROT_POS = np.r_[0:3, 6:9]   # the (rotation, position) rows of a nav block
 
 
 def process_noise(gyro=0.0, accel=0.0, virtual_velocity=0.0,
@@ -158,7 +159,6 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     input_exp = step @ nav_inv    # exp(dt w) = D E D^-1
     input_jl = Gal3.left_jacobian(dt * (ad_nav @ corrected))  # origin input w
 
-    rot_pos = np.r_[0:3, 6:9]     # the (rotation, position) rows of a nav block
     gamma = grav_adj[0:9, 0:9]
     upsilon = Gal3.adjoint(input_exp)[0:9, 0:9]
     a1 = gamma @ input_jl[0:9, 0:9] * dt
@@ -168,8 +168,8 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     A[0:9, 0:9] = gamma
     A[0:9, 9:18] = a1
     A[9:18, 9:18] = gamma @ upsilon
-    A[18:24, 0:9] = (gamma - gamma @ upsilon)[rot_pos]
-    A[18:24, 9:18] = a1[rot_pos]
+    A[18:24, 0:9] = (gamma - gamma @ upsilon)[_ROT_POS]
+    A[18:24, 9:18] = a1[_ROT_POS]
     A[18:24, 18:24] = a2
 
     b1 = -(grav_adj @ input_jl @ ad_nav)[0:9] * dt
@@ -178,7 +178,7 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     B = np.zeros((24, 25))
     B[0:9, 0:10] = b1
     B[9:18, 10:19] = gamma @ upsilon @ ad_nav[0:9, 0:9] * dt
-    B[18:24, 0:10] = b1[rot_pos]
+    B[18:24, 0:10] = b1[_ROT_POS]
     B[18:24, 19:25] = b2
     return X_next, A, B
 

@@ -286,14 +286,11 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
     events.sort(key=lambda e: (e[0], e[1]))
 
     clone_points: list[dict] = []   # per clone: feature id -> observed point
-    rows = {}   # time -> (nav, pose covariance, mount error); last one wins
+    rows = {}   # time -> (nav, pose covariance, cal); last one wins
     pose_idx = np.ix_(np.r_[0:3, 6:9], np.r_[0:3, 6:9])
 
-    def record(t):
-        nav, cal = belief.sym.nav, belief.sym.cal   # estimated pose = nav
-        rows[t] = (nav, belief.cov[pose_idx],
-                   np.nan if S_true is None else
-                   calibration_error(S_true, nav[0:3, 0:3].T @ cal[0:3, 0:3]))
+    def record(t):   # estimated pose = nav, mount rotation = R_nav^T cal_rot
+        rows[t] = (belief.sym.nav, belief.cov[pose_idx], belief.sym.cal)
 
     last_input, last_time = None, None   # zero-order-held IMU record
     updates = skipped = 0
@@ -362,15 +359,17 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
         logging.getLogger(__name__).warning(
             "%d of %d updates skipped (singular innovation covariance or every "
             "row gated)", skipped, updates)
-    navs, covs, angles = (np.array([row[i] for row in rows.values()]) for i in range(3))
-    navs = navs.reshape(-1, 5, 5)
+    navs, covs, cals = (np.array([row[i] for row in rows.values()]) for i in range(3))
+    navs, cals = navs.reshape(-1, 5, 5), cals.reshape(-1, 4, 4)
+    est_rot = navs[:, 0:3, 0:3]
     return RunResult(
         times=np.array(list(rows), dtype=float),
-        est_rot=navs[:, 0:3, 0:3],
+        est_rot=est_rot,
         est_vel=navs[:, 0:3, 3],
         est_pos=navs[:, 0:3, 4],
         pose_cov=covs.reshape(-1, 6, 6),
-        e_angle=None if S_true is None else angles,
+        e_angle=None if S_true is None else calibration_error(
+            S_true, np.swapaxes(est_rot, -1, -2) @ cals[:, 0:3, 0:3]),
         final_belief=belief,
         skipped_updates=skipped,
     )

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import SE3, SE23, SO3
+from .lie import SE3, SE23, SO3, Gal3
 from .measurements import RadarDetection, RadarScan, apply_spherical_noise, doppler_model
-from .symmetry import GRAVITY, CheckedRecord, SystemInput, SystemState, discrete_dynamics
+from .symmetry import GRAVITY, CheckedRecord, SystemState, gravity_step
 
 
 class _TrajectorySpec(NamedTuple):
@@ -224,7 +224,11 @@ def synthesize_radar_scan(state: SystemState, gyro, landmarks, config: SimConfig
 
 
 def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
-    """Full dataset generation, deterministic for a given seed."""
+    """Full dataset generation, deterministic for a given seed.  The ground
+    truth is the flow of the noise-free samples, so it is integrated before
+    any draw; then one normal draw per radar period fills the IMU noise and
+    bias walks in the stream's per-record order (gyro noise 3, accel noise
+    3, the scan's own draws, gyro walk 3, accel walk 3)."""
     rng = np.random.default_rng(config.seed)
     sampler = TrajectorySampler(spec)
     dt = 1.0 / config.imu_rate
@@ -236,58 +240,47 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
     bias_g = config.gyro_bias_std * rng.standard_normal(3)
     bias_a = config.accel_bias_std * rng.standard_normal(3)
 
-    state = SystemState(pose=sampler.state(0.0),
-                        bias=np.concatenate([bias_g, bias_a, np.zeros(3)]),
-                        cal=config.extrinsics())
-
+    # pass 1: the truth advances by the zero-order-hold flow the filter uses;
+    # its bias-corrected input (w + b) - b is the noise-free sample itself
     times = np.arange(n) * dt
-    rotations = np.zeros((n, 3, 3))
-    velocities = np.zeros((n, 3))
-    positions = np.zeros((n, 3))
-    gyro_bias = np.zeros((n, 3))
-    accel_bias = np.zeros((n, 3))
-    imu_gyro = np.zeros((n, 3))
-    imu_accel = np.zeros((n, 3))
-    scans = []
-
     body_rates, specific_force = synthesize_imu(sampler, times)
-    sqrt_rate = np.sqrt(config.imu_rate)
-    sqrt_dt = np.sqrt(dt)
-    for k, t in enumerate(times.tolist()):
-        rotations[k] = state.attitude()
-        velocities[k] = state.velocity()
-        positions[k] = state.position()
-        gyro_bias[k] = state.bias[0:3]
-        accel_bias[k] = state.bias[3:6]
+    drive = dt * np.column_stack([body_rates, specific_force, np.zeros((n, 3)), np.ones(n)])
+    grav = gravity_step(dt, GRAVITY)
+    poses = np.empty((n, 5, 5))
+    poses[0] = sampler.state(0.0)
+    for k in range(n - 1):
+        poses[k + 1] = grav @ poses[k] @ Gal3.exp(drive[k])
 
-        gyro_clean = body_rates[k] + state.bias[0:3]
-        accel_clean = specific_force[k] + state.bias[3:6]
-        imu_gyro[k] = gyro_clean + config.gyro_noise * sqrt_rate * rng.standard_normal(3)
-        imu_accel[k] = accel_clean + config.accel_noise * sqrt_rate * rng.standard_normal(3)
+    # pass 2: per record 12 normals (noise, then walk; the last record has
+    # no walk), cut after the noise of each scan record for the scan's draws
+    normals = np.zeros((n, 12))
+    flat = normals.reshape(-1)
+    scan_rng = rng if (config.range_noise or config.bearing_noise or
+                       config.doppler_noise or config.id_mismatch_rate) else None
+    cal = config.extrinsics()
+    scans = []
+    start = 0
+    for k in range(stride, n, stride):
+        rng.standard_normal(out=flat[start:12 * k + 6])
+        start = 12 * k + 6
+        # the biases cancel in the Doppler model, so the scan sees the
+        # bias-free truth and the noise-free body rate
+        state = SystemState(pose=poses[k], bias=np.zeros(9), cal=cal)
+        scans.append(synthesize_radar_scan(state, body_rates[k], landmarks, config,
+                                           scan_id=len(scans), stamp=float(times[k]),
+                                           rng=scan_rng))
+    rng.standard_normal(out=flat[start:12 * n - 6])
 
-        if k % stride == 0 and k > 0:
-            scan_rng = rng if (config.range_noise or config.bearing_noise or
-                               config.doppler_noise or config.id_mismatch_rate) else None
-            scans.append(
-                synthesize_radar_scan(state, gyro_clean, landmarks, config,
-                                      scan_id=len(scans), stamp=t, rng=scan_rng)
-            )
-
-        if k + 1 < n:
-            # ground truth advances by the same zero-order-hold flow the
-            # filter uses, driven by the noise-free samples
-            u = SystemInput.from_imu(gyro_clean, accel_clean)
-            state = discrete_dynamics(state, u, dt)
-            walk = np.concatenate([
-                config.gyro_walk * sqrt_dt * rng.standard_normal(3),
-                config.accel_walk * sqrt_dt * rng.standard_normal(3),
-                np.zeros(3),
-            ])
-            state = state._replace(bias=state.bias + walk)
+    scaled = normals * np.repeat([
+        config.gyro_noise * np.sqrt(config.imu_rate), config.accel_noise * np.sqrt(config.imu_rate),
+        config.gyro_walk * np.sqrt(dt), config.accel_walk * np.sqrt(dt)], 3)
+    # cumsum adds in sequence, so the biases are the walk's bit for bit
+    biases = np.cumsum(np.vstack([np.concatenate([bias_g, bias_a]), scaled[:-1, 6:]]), axis=0)
+    imu = np.column_stack([body_rates, specific_force]) + biases + scaled[:, 0:6]
 
     return SimOutput(
-        times=times, rotations=rotations, velocities=velocities,
-        positions=positions, gyro_bias=gyro_bias, accel_bias=accel_bias,
-        imu_gyro=imu_gyro, imu_accel=imu_accel, scans=tuple(scans),
+        times=times, rotations=poses[:, 0:3, 0:3], velocities=poses[:, 0:3, 3],
+        positions=poses[:, 0:3, 4], gyro_bias=biases[:, 0:3], accel_bias=biases[:, 3:6],
+        imu_gyro=imu[:, 0:3], imu_accel=imu[:, 3:6], scans=tuple(scans),
         landmarks=landmarks, spec=spec, config=config,
     )

@@ -9,7 +9,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from eqfrio.lie import SO3
-from eqfrio.symmetry import SymmetryElement
+from eqfrio.simulator import (
+    SimOutput,
+    TrajectorySampler,
+    synthesize_imu,
+    synthesize_radar_scan,
+)
+from eqfrio.symmetry import SymmetryElement, SystemInput, SystemState, discrete_dynamics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -110,3 +116,52 @@ def embed_core(A, B, k):
     B_full = np.zeros((dof, B.shape[1]))
     B_full[0:24] = B
     return A_full, B_full
+
+
+def simulate_per_record(spec, config):
+    """Reference dataset generation, one record at a time: the truth steps
+    by `discrete_dynamics` on the biased noise-free samples, and each record
+    draws its gyro and accel noise, then the scan's draws at a scan record,
+    then its gyro and accel bias walk.  Pins the stream `run_simulation`
+    consumes."""
+    rng = np.random.default_rng(config.seed)
+    sampler = TrajectorySampler(spec)
+    dt = 1.0 / config.imu_rate
+    n = int(round(spec.duration * config.imu_rate)) + 1
+    stride = max(int(round(config.imu_rate / config.radar_rate)), 1)
+    landmarks = rng.uniform(-config.landmark_box, config.landmark_box,
+                            size=(config.landmark_count, 3))
+    bias_g = config.gyro_bias_std * rng.standard_normal(3)
+    bias_a = config.accel_bias_std * rng.standard_normal(3)
+    state = SystemState(pose=sampler.state(0.0),
+                        bias=np.concatenate([bias_g, bias_a, np.zeros(3)]),
+                        cal=config.extrinsics())
+    times = np.arange(n) * dt
+    body_rates, specific_force = synthesize_imu(sampler, times)
+    scan_rng = rng if (config.range_noise or config.bearing_noise or
+                       config.doppler_noise or config.id_mismatch_rate) else None
+    sqrt_rate, sqrt_dt = np.sqrt(config.imu_rate), np.sqrt(dt)
+    poses, biases, gyro, accel, scans = [], [], [], [], []
+    for k, t in enumerate(times.tolist()):
+        poses.append(state.pose)
+        biases.append(state.bias[0:6])
+        gyro_clean = body_rates[k] + state.bias[0:3]
+        accel_clean = specific_force[k] + state.bias[3:6]
+        gyro.append(gyro_clean + config.gyro_noise * sqrt_rate * rng.standard_normal(3))
+        accel.append(accel_clean + config.accel_noise * sqrt_rate * rng.standard_normal(3))
+        if k % stride == 0 and k > 0:
+            scans.append(synthesize_radar_scan(state, gyro_clean, landmarks, config,
+                                               scan_id=len(scans), stamp=t, rng=scan_rng))
+        if k + 1 < n:
+            state = discrete_dynamics(state, SystemInput.from_imu(gyro_clean, accel_clean), dt)
+            walk = np.concatenate([config.gyro_walk * sqrt_dt * rng.standard_normal(3),
+                                   config.accel_walk * sqrt_dt * rng.standard_normal(3),
+                                   np.zeros(3)])
+            state = state._replace(bias=state.bias + walk)
+    poses, biases = np.array(poses), np.array(biases)
+    return SimOutput(
+        times=times, rotations=poses[:, 0:3, 0:3], velocities=poses[:, 0:3, 3],
+        positions=poses[:, 0:3, 4], gyro_bias=biases[:, 0:3], accel_bias=biases[:, 3:6],
+        imu_gyro=np.array(gyro), imu_accel=np.array(accel), scans=tuple(scans),
+        landmarks=landmarks, spec=spec, config=config,
+    )

@@ -202,6 +202,15 @@ def test_calibration_error_values():
     assert np.isclose(calibration_error(S, S_hat),
                       calibration_error(S_hat, S))
 
+    # a (..., 3, 3) stack gives the per-pair angles, a pair pi apart included
+    stack = np.array([random_rotation(rng, scale) for scale in np.linspace(0.0, 3.0, 40)])
+    stack[0], stack[1] = S, S @ np.diag([-1.0, 1.0, -1.0])
+    angles = calibration_error(S, stack.reshape(4, 10, 3, 3))
+    assert angles.shape == (4, 10)
+    single = np.array([calibration_error(S, s) for s in stack])
+    assert np.abs(angles.reshape(-1) - single).max() <= 1e-15
+    assert single[1] == pytest.approx(np.pi, abs=1e-15)
+
 
 def test_calibration_error_half_turn():
     # the metric is exact at pi, and a run started half a turn off must

@@ -22,6 +22,7 @@ from eqfrio.symmetry import (
     error_coordinates,
     identity_state,
 )
+from helpers import simulate_per_record
 
 
 def test_hover_is_static():
@@ -235,6 +236,44 @@ def test_simulation_deterministic_per_seed():
             np.array([d.point for d in sa.detections]),
             np.array([d.point for d in sb.detections]),
         )
+
+
+_NOISE = dict(gyro_noise=0.005, accel_noise=0.05, gyro_walk=1e-4, accel_walk=1e-3,
+              gyro_bias_std=0.003, accel_bias_std=0.03, range_noise=0.05,
+              bearing_noise=np.deg2rad(0.5), doppler_noise=0.05,
+              cal_rot=(0.1, -0.2, 0.3), cal_pos=(0.1, 0.05, -0.02))
+
+
+@pytest.mark.parametrize("duration, config", [
+    (3.0, SimConfig(imu_rate=50.0, radar_rate=20.0, landmark_count=300, seed=1, **_NOISE)),
+    (2.37, SimConfig(imu_rate=100.0, radar_rate=10.0, seed=2, **_NOISE)),
+    (1.0, SimConfig(imu_rate=20.0, radar_rate=20.0, seed=3, **_NOISE)),
+    (2.0, SimConfig(imu_rate=50.0, radar_rate=10.0, id_mismatch_rate=0.5, seed=4, **_NOISE)),
+    (2.0, SimConfig(imu_rate=50.0, radar_rate=10.0, seed=5, **{
+        **_NOISE, "range_noise": 0.0, "bearing_noise": 0.0, "doppler_noise": 0.0})),
+], ids=["stride-2-of-2.5", "ends-mid-period", "stride-1", "id-swaps", "noise-free-radar"])
+def test_simulation_matches_per_record_oracle(duration, config):
+    """The stacked passes consume the random stream in the per-record order:
+    IMU records, biases and scan ids bit for bit, the truth and the
+    detections to rounding."""
+    spec = TrajectorySpec.excited(duration)
+    sim = run_simulation(spec, config)
+    ref = simulate_per_record(spec, config)
+    for field in ("times", "landmarks", "imu_gyro", "imu_accel", "gyro_bias", "accel_bias"):
+        assert np.array_equal(getattr(sim, field), getattr(ref, field)), field
+    for field in ("rotations", "velocities", "positions"):
+        assert np.abs(getattr(sim, field) - getattr(ref, field)).max() <= 1e-12, field
+    assert len(sim.scans) == len(ref.scans) > 0
+    detections = 0
+    for scan, expected in zip(sim.scans, ref.scans):
+        assert (scan.stamp, scan.scan_id) == (expected.stamp, expected.scan_id)
+        assert [d.feature_id for d in scan.detections] == \
+            [d.feature_id for d in expected.detections]
+        for det, want in zip(scan.detections, expected.detections):
+            assert np.abs(det.point - want.point).max() <= 1e-13
+            assert abs(det.doppler - want.doppler) <= 1e-13
+        detections += len(scan.detections)
+    assert detections > 0
 
 
 def test_record_counts_match_rates():

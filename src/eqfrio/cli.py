@@ -44,8 +44,8 @@ def cmd_simulate(spec_path, out_dir) -> int:
                                sim.rotations, sim.positions, sim.velocities)
     eqio.write_kv_file(out / "meta.cfg", {
         "imu_rate": config.imu_rate,
-        "radar_rate": config.radar_rate,
-        "gravity": (0.0, 0.0, -9.81),
+        "radar_rate": config.imu_rate / config.radar_stride(),
+        "gravity": tuple(GRAVITY),
         "has_extrinsics_truth": True,
         "cal_rot_true": tuple(config.cal_rot),
         "cal_pos_true": tuple(config.cal_pos),
@@ -104,16 +104,16 @@ def cmd_evaluate(est_dir, gt_path, out_dir) -> int:
     gt_t, gt_rot, gt_pos, _ = eqio.read_groundtruth_csv(gt_path)
     pair = associate(gt_t, gt_rot, gt_pos, est_t, est_rot, est_pos, covs)
 
-    e_angle = None
+    calibration = None
     cal_path = est_dir / "calibration_error.csv"
     if cal_path.exists():
-        e_angle = eqio._read_csv(cal_path, _CAL_ERROR_HEADER)[:, 1]
+        calibration = eqio._read_csv(cal_path, _CAL_ERROR_HEADER)
 
-    report = evaluate_run(pair, e_angle)
+    report = evaluate_run(pair, None if calibration is None else calibration[:, 1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(report, out / "metrics.json")
-    emit_plot_data(pair, out, e_angle)
+    emit_plot_data(pair, out, calibration)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .io import _write_csv
-from .lie import SO3, unskew
+from .lie import SO3
 from .symmetry import CheckedRecord
 
 CONVERGENCE_ANGLE = np.deg2rad(5.0)
@@ -146,12 +146,9 @@ def drift(pair: AlignedPair, length: float) -> tuple[float, float]:
 
 def calibration_error(S_true, S_hat):
     """Geodesic angle between the true and estimated mount rotations, one
-    pair or (..., 3, 3) stacks of them, from the skew part and the trace of
-    D = S_true^T S_hat: the angle of `SO3.log(D)` without its axis, exact at
+    pair or (..., 3, 3) stacks of them: |SO3.log(S_true^T S_hat)|, exact at
     every angle, pi included.  A single pair gives a float."""
-    D = np.swapaxes(S_true, -1, -2) @ np.asarray(S_hat)
-    angle = np.arctan2(0.5 * np.linalg.norm(unskew(D - np.swapaxes(D, -1, -2)), axis=-1),
-                       0.5 * (np.trace(D, axis1=-2, axis2=-1) - 1.0))
+    angle = np.linalg.norm(SO3.log(np.swapaxes(S_true, -1, -2) @ np.asarray(S_hat)), axis=-1)
     return float(angle) if angle.ndim == 0 else angle
 
 
@@ -216,8 +213,10 @@ def evaluate_run(pair: AlignedPair, e_angle_series=None) -> MetricsReport:
     )
 
 
-def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
-    """Write plot-ready CSV series; returns the created paths.
+def emit_plot_data(pair: AlignedPair, out_dir, calibration=None) -> list:
+    """Write plot-ready CSV series; returns the created paths.  `calibration`
+    is the run's own (t, mount rotation error) rows, which association does
+    not thin.
 
     trajectory.csv   t, gt x/y/z, est x/y/z
     ape.csv          t, rotation error norm rad, translation error norm m
@@ -241,11 +240,8 @@ def emit_plot_data(pair: AlignedPair, out_dir, e_angle=None) -> list:
         norms = np.linalg.norm(np.stack(ape(pair), axis=1), axis=-1)
     write("ape.csv", ["t", "rotation_rad", "translation_m"],
           np.column_stack([pair.stamps, norms]))
-    if e_angle is not None:
-        e_angle = np.asarray(e_angle, dtype=float)
-        m = min(len(e_angle), len(pair))
-        write("calibration.csv", ["t", "e_angle_rad"],
-              np.column_stack([pair.stamps[:m], e_angle[:m]]))
+    if calibration is not None:
+        write("calibration.csv", ["t", "e_angle_rad"], calibration)
     if pair.covariances is not None and len(pair):
         series = nees_series(pair)
         running = np.cumsum(series) / (6.0 * np.arange(1, len(series) + 1))

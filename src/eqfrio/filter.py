@@ -127,8 +127,8 @@ def estimated_state(belief: FilterBelief) -> SystemState:
     return SystemState(belief.sym.nav, bias, cal, belief.sym.clones, belief.stamps)
 
 
-def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
-                     gravity=GRAVITY) -> tuple[SymmetryElement, np.ndarray, np.ndarray]:
+def propagation_step(X: SymmetryElement, u: SystemInput,
+                     dt: float) -> tuple[SymmetryElement, np.ndarray, np.ndarray]:
     """One fused prediction step: the next group element, and the error
     transition matrix A (24x24) and input noise matrix B (24x25) of the
     core (navigation, biases, extrinsics).
@@ -144,7 +144,7 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
     adjoints of G and of the origin-input increment D E D^-1, plus left
     Jacobians.  On the static clones they are the identity and zero.
     """
-    grav_exp = gravity_step(dt, gravity)
+    grav_exp = gravity_step(dt, GRAVITY)
     grav_adj = Gal3.adjoint(grav_exp)
     nav_inv, bias, cal_est = _core_estimate(X)
     corrected = u.nav - np.append(bias, 0.0)
@@ -184,13 +184,13 @@ def propagation_step(X: SymmetryElement, u: SystemInput, dt: float,
 
 
 def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
-              dt_max: float = 0.1, gravity=GRAVITY) -> FilterBelief:
+              dt_max: float = 0.1) -> FilterBelief:
     """One prediction step: mean and covariance through propagation_step.
     A P A^T acts on the core rows, then the core columns; the clone-clone
     block is left as it is."""
     if not 0.0 < dt <= dt_max * _DT_SLACK:
         raise ValueError(f"bad timestep {dt}")
-    sym, A, B = propagation_step(belief.sym, u, dt, gravity)
+    sym, A, B = propagation_step(belief.sym, u, dt)
     cov = belief.cov.copy()
     cov[:24] = A @ cov[:24]
     cov[:, :24] = cov[:, :24] @ A.T

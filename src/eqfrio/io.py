@@ -27,7 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .lie import SO3
 from .measurements import RadarDetection, RadarScan
+from .symmetry import GRAVITY
 
 FLOAT_FMT = "%.17g"
 
@@ -39,31 +41,24 @@ class ConfigError(ValueError):
 # --- quaternions (w, x, y, z) -------------------------------------------------
 
 def quat_from_matrix(R) -> np.ndarray:
-    R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.zeros(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    return q / np.linalg.norm(q)
+    """Unit quaternion with w >= 0 of a rotation or of each in a (..., 3, 3)
+    stack: (cos(t/2), sin(t/2)/t phi) of the rotation vector phi = SO3.log(R)
+    of angle t <= pi."""
+    phi = SO3.log(R)
+    t = np.linalg.norm(phi, axis=-1, keepdims=True)
+    return np.concatenate([np.cos(0.5 * t), 0.5 * np.sinc(t / (2.0 * np.pi)) * phi], axis=-1)
 
 
 def matrix_from_quat(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation of a quaternion (w, x, y, z) or of each in a (..., 4) stack,
+    normalized first; q @ q per row, as np.linalg.norm takes it of one."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q / np.sqrt(q[..., None, :] @ q[..., None])[..., 0], -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 # --- generic CSV helpers --------------------------------------------------------
@@ -146,19 +141,15 @@ def read_radar_csv(path):
                  for s, i, dets in scans)
 
 
-def _quats(rotations) -> np.ndarray:
-    return np.reshape([quat_from_matrix(R) for R in rotations], (-1, 4))
-
-
 def write_groundtruth_csv(path, times, rotations, positions, velocities):
     _write_csv(path, GT_HEADER,
-               np.column_stack([times, _quats(rotations), positions, velocities]))
+               np.column_stack([times, quat_from_matrix(rotations), positions, velocities]))
 
 
 def read_groundtruth_csv(path):
     data = _read_csv(path, GT_HEADER)
     times = data[:, 0]
-    rots = np.stack([matrix_from_quat(q) for q in data[:, 1:5]])
+    rots = matrix_from_quat(data[:, 1:5])
     return times, rots, data[:, 5:8], data[:, 8:11]
 
 
@@ -166,13 +157,13 @@ def write_estimate_csv(path, times, rotations, positions, velocities, covariance
     rows, cols = np.triu_indices(6)
     covs = np.reshape(covariances, (-1, 6, 6))[:, rows, cols]
     _write_csv(path, EST_HEADER, np.column_stack(
-        [times, _quats(rotations), positions, velocities, covs]))
+        [times, quat_from_matrix(rotations), positions, velocities, covs]))
 
 
 def read_estimate_csv(path):
     data = _read_csv(path, EST_HEADER)
     times = data[:, 0]
-    rots = np.stack([matrix_from_quat(q) for q in data[:, 1:5]])
+    rots = matrix_from_quat(data[:, 1:5])
     covs = np.zeros((len(data), 6, 6))
     rows, cols = np.triu_indices(6)
     covs[:, rows, cols] = covs[:, cols, rows] = data[:, 11:]
@@ -255,7 +246,7 @@ def write_kv_file(path, values: dict) -> None:
 META_SCHEMA = {
     "imu_rate": ("float", 200.0),
     "radar_rate": ("float", 10.0),
-    "gravity": ("vec3", (0.0, 0.0, -9.81)),
+    "gravity": ("vec3", tuple(GRAVITY)),
     "has_extrinsics_truth": ("bool", False),
     "cal_rot_true": ("vec3", (0.0, 0.0, 0.0)),   # axis-angle, rad
     "cal_pos_true": ("vec3", (0.0, 0.0, 0.0)),   # m

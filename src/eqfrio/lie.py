@@ -119,20 +119,18 @@ def _so3_coefficients(t2: float) -> tuple[float, float, float]:
     return (1.0 - cos) / t2, (t - math.sin(t)) / (t2 * t), (cos - 1.0 + 0.5 * t2) / (t2 * t2)
 
 
-def _so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:
-    """I + (1-cos)/t^2 W + (t-sin)/t^3 W^2."""
-    c1, c2, _ = _so3_coefficients(float(rotvec @ rotvec))
-    W = skew(rotvec)
-    return _ID3 + c1 * W + c2 * (W @ W)
-
-
-def _so3_jacobians(rotvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left Jacobian and its second-order sibling sum_k W^k/(k+2)!,
-    which couples velocity into position through the Gal(3) time slot."""
-    c1, c2, c3 = _so3_coefficients(float(rotvec @ rotvec))
+def _so3(rotvec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(W), the left Jacobian I + c1 W + c2 W^2 and its second-order
+    sibling sum_k W^k/(k+2)! = I/2 + c2 W + c3 W^2, which couples velocity
+    into position through the Gal(3) time slot, of W = skew(rotvec), from
+    one coefficient triple: exp(W) = I + (1 - t^2 c2) W + c1 W^2, as
+    sin t / t = 1 - t^2 c2."""
+    t2 = float(rotvec @ rotvec)
+    c1, c2, c3 = _so3_coefficients(t2)
     W = skew(rotvec)
     W2 = W @ W
-    return _ID3 + c1 * W + c2 * W2, 0.5 * _ID3 + c2 * W + c3 * W2
+    return (_ID3 + (1.0 - t2 * c2) * W + c1 * W2, _ID3 + c1 * W + c2 * W2,
+            0.5 * _ID3 + c2 * W + c3 * W2)
 
 
 def _check_coords(tag: str, v, dim: int) -> np.ndarray:
@@ -172,13 +170,7 @@ class SO3:
 
     @staticmethod
     def exp(v) -> np.ndarray:
-        v = _check_coords("so3", v, 3)
-        angle = math.sqrt(v @ v)
-        K = skew(v)
-        if angle < 1e-10:
-            return _ID3 + K + 0.5 * K @ K
-        s, c = np.sin(angle), np.cos(angle)
-        return _ID3 + (s / angle) * K + ((1.0 - c) / angle**2) * (K @ K)
+        return _so3(_check_coords("so3", v, 3))[0]
 
     @staticmethod
     def log(R) -> np.ndarray:
@@ -214,7 +206,7 @@ class SO3:
 
     @staticmethod
     def left_jacobian(v) -> np.ndarray:
-        return _so3_left_jacobian(_check_coords("so3", v, 3))
+        return _so3(_check_coords("so3", v, 3))[1]
 
 
 class SE3:
@@ -260,15 +252,14 @@ class SE3:
     @staticmethod
     def exp(v) -> np.ndarray:
         v = _check_coords("se3", v, 6)
-        J = _so3_left_jacobian(v[0:3])
-        return SE3.from_components(SO3.exp(v[0:3]), J @ v[3:6])
+        R, J, _ = _so3(v[0:3])
+        return SE3.from_components(R, J @ v[3:6])
 
     @staticmethod
     def log(X) -> np.ndarray:
         R, t = SE3.components(X)
         rot = SO3.log(R)
-        J = _so3_left_jacobian(rot)
-        return np.concatenate([rot, np.linalg.solve(J, t)])
+        return np.concatenate([rot, np.linalg.solve(_so3(rot)[1], t)])
 
     @staticmethod
     def adjoint(X) -> np.ndarray:
@@ -338,14 +329,14 @@ class SE23:
     @staticmethod
     def exp(u) -> np.ndarray:
         u = _check_coords("se23", u, 9)
-        J = _so3_left_jacobian(u[0:3])
-        return SE23.from_components(SO3.exp(u[0:3]), J @ u[3:6], J @ u[6:9])
+        R, J, _ = _so3(u[0:3])
+        return SE23.from_components(R, J @ u[3:6], J @ u[6:9])
 
     @staticmethod
     def log(X) -> np.ndarray:
         R, v, p = SE23.components(X)
         rot = SO3.log(R)
-        J = _so3_left_jacobian(rot)
+        J = _so3(rot)[1]
         return np.concatenate([rot, np.linalg.solve(J, v), np.linalg.solve(J, p)])
 
     @staticmethod
@@ -424,16 +415,14 @@ class Gal3:
     def exp(u) -> np.ndarray:
         u = _check_coords("gal3", u, 10)
         rot, vel, pos, time = u[0:3], u[3:6], u[6:9], u[9]
-        J, N = _so3_jacobians(rot)
-        return Gal3.from_components(
-            SO3.exp(rot), J @ vel, J @ pos + time * (N @ vel), time
-        )
+        R, J, N = _so3(rot)
+        return Gal3.from_components(R, J @ vel, J @ pos + time * (N @ vel), time)
 
     @staticmethod
     def log(X) -> np.ndarray:
         R, v, p, c = Gal3.components(X)
         rot = SO3.log(R)
-        J, N = _so3_jacobians(rot)
+        _, J, N = _so3(rot)
         vel = np.linalg.solve(J, v)
         pos = np.linalg.solve(J, p - c * (N @ vel))
         return np.concatenate([rot, vel, pos, [c]])

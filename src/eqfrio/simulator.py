@@ -167,6 +167,10 @@ class SimConfig(CheckedRecord, _SimConfig):
         if self.imu_rate < self.radar_rate:
             raise ValueError("imu rate must be at least the radar rate")
 
+    def radar_stride(self) -> int:
+        """IMU records per radar scan; the scans come at imu_rate / stride."""
+        return int(round(self.imu_rate / self.radar_rate))
+
     def extrinsics(self) -> np.ndarray:
         return SE3.from_components(SO3.exp(np.asarray(self.cal_rot, dtype=float)),
                                    np.asarray(self.cal_pos, dtype=float))
@@ -187,11 +191,11 @@ class SimOutput(NamedTuple):
     config: SimConfig
 
 
-def synthesize_imu(sampler: TrajectorySampler, t, gravity=GRAVITY):
+def synthesize_imu(sampler: TrajectorySampler, t):
     """Noise-free, bias-free IMU records at a time t or at each of an array
     of times: body rates and specific force, each of shape (..., 3)."""
     R = sampler.attitude(t)
-    accel = np.einsum("...ji,...j->...i", R, sampler.accel_world(t) - gravity)
+    accel = np.einsum("...ji,...j->...i", R, sampler.accel_world(t) - GRAVITY)
     return sampler.body_rates(t), accel
 
 
@@ -233,7 +237,7 @@ def run_simulation(spec: TrajectorySpec, config: SimConfig) -> SimOutput:
     sampler = TrajectorySampler(spec)
     dt = 1.0 / config.imu_rate
     n = int(round(spec.duration * config.imu_rate)) + 1
-    stride = max(int(round(config.imu_rate / config.radar_rate)), 1)
+    stride = config.radar_stride()
 
     landmarks = rng.uniform(-config.landmark_box, config.landmark_box,
                             size=(config.landmark_count, 3))

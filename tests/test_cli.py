@@ -10,7 +10,8 @@ import pytest
 
 from eqfrio import pipeline
 from eqfrio.cli import main
-from eqfrio.io import read_imu_csv
+from eqfrio.io import META_SCHEMA, parse_kv_file, read_imu_csv, read_radar_csv
+from eqfrio.symmetry import GRAVITY
 from helpers import src_env
 
 SIM_SPEC = """
@@ -85,6 +86,38 @@ def test_run_perturbation_sets_initial_calibration(workspace, tmp_path):
         rows = list(csv.reader(f))
     first = float(rows[1][1])
     assert np.isclose(first, np.deg2rad(80.0), atol=1e-6)
+
+
+def test_evaluate_keeps_each_calibration_angle_with_its_stamp(workspace, tmp_path):
+    # ground truth from t = 1 s: association drops the estimate rows before
+    # it, while calibration.csv keeps the run's own (t, angle) rows
+    cfg = tmp_path / "run30.cfg"
+    cfg.write_text("perturb.calibration = y:30deg\nfilter.use_msc = false\n")
+    assert main(["run", "--data", str(workspace / "data"),
+                 "--config", str(cfg), "--out", str(tmp_path / "est")]) == 0
+    late = _edited_copy(workspace, tmp_path, "groundtruth.csv",
+                        lambda lines: lines[:1] + lines[101:])
+    assert main(["evaluate", "--est", str(tmp_path / "est"),
+                 "--gt", str(late / "groundtruth.csv"), "--out", str(tmp_path / "eval")]) == 0
+    run_rows = np.loadtxt(tmp_path / "est" / "calibration_error.csv", delimiter=",",
+                          skiprows=1)
+    written = np.loadtxt(tmp_path / "eval" / "calibration.csv", delimiter=",", skiprows=1)
+    assert run_rows[0, 1] == pytest.approx(np.deg2rad(30.0), abs=1e-6)
+    assert np.array_equal(written, run_rows)
+
+
+def test_simulate_records_the_radar_rate_used(tmp_path):
+    # a 20 Hz radar on a 50 Hz IMU scans every round(2.5) = 2 records: 25 Hz
+    spec = SIM_SPEC.replace("duration = 5", "duration = 1").replace(
+        "imu_rate = 100", "imu_rate = 50").replace("radar_rate = 10", "radar_rate = 20")
+    (tmp_path / "sim.cfg").write_text(spec)
+    assert main(["simulate", "--spec", str(tmp_path / "sim.cfg"),
+                 "--out", str(tmp_path / "data")]) == 0
+    meta = parse_kv_file(tmp_path / "data" / "meta.cfg", META_SCHEMA)[0]
+    assert meta["radar_rate"] == 25.0
+    assert meta["gravity"] == tuple(GRAVITY)
+    stamps = [scan.stamp for scan in read_radar_csv(tmp_path / "data" / "radar.csv")]
+    assert np.allclose(np.diff(stamps), 1.0 / meta["radar_rate"], rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -329,7 +329,8 @@ def test_emit_plot_data_roundtrip(tmp_path):
     rng = np.random.default_rng(131)
     covs = np.stack([np.eye(6) for _ in range(6)])
     pair = make_pair(rng, n=6, rot_err=0.01, pos_err=0.02, covs=covs)
-    files = emit_plot_data(pair, tmp_path, e_angle=np.linspace(0.3, 0.0, 6))
+    files = emit_plot_data(pair, tmp_path,
+                           calibration=np.column_stack([pair.stamps, np.linspace(0.3, 0.0, 6)]))
     assert len(files) == 4
     import csv
 

@@ -18,6 +18,7 @@ from eqfrio.io import (
     write_imu_csv,
     write_radar_csv,
 )
+from eqfrio.lie import SO3
 from eqfrio.measurements import RadarDetection, RadarScan
 from helpers import random_rotation
 
@@ -28,6 +29,25 @@ def test_quaternion_roundtrip():
         R = random_rotation(rng, scale=1.5)
         R2 = matrix_from_quat(quat_from_matrix(R))
         assert np.allclose(R, R2, atol=1e-12)
+
+
+def test_quaternions_of_a_stack_equal_per_rotation_ones():
+    # one call for a (2, 20, 3, 3) stack, half of it past 120 deg, where the
+    # trace is negative; the scalar part is cos(t/2) >= 0 up to pi itself
+    rng = np.random.default_rng(143)
+    axes = rng.standard_normal((40, 3))
+    angles = np.concatenate([[0.0, 1e-12, np.pi - 1e-12, np.pi], rng.uniform(0.0, np.pi, 16),
+                             rng.uniform(2.0 * np.pi / 3.0, np.pi, 20)])
+    R = np.stack([SO3.exp(t * a / np.linalg.norm(a)) for t, a in zip(angles, axes)])
+    q = quat_from_matrix(R.reshape(2, 20, 3, 3))
+    assert q.shape == (2, 20, 4)
+    assert np.array_equal(q.reshape(-1, 4), np.stack([quat_from_matrix(X) for X in R]))
+    assert np.all(q[..., 0] >= 0.0)
+    back = matrix_from_quat(q)
+    assert back.shape == (2, 20, 3, 3)
+    per_quaternion = np.stack([matrix_from_quat(x) for x in q.reshape(-1, 4)])
+    assert np.array_equal(back.reshape(-1, 3, 3), per_quaternion)
+    assert np.abs(back.reshape(-1, 3, 3) - R).max() <= 4e-15
 
 
 def test_imu_csv_roundtrip(tmp_path):

@@ -102,6 +102,21 @@ def _read_csv(path, expected_header):
     return np.asarray(rows, dtype=float).reshape(-1, len(expected_header))
 
 
+def _rotations(path, quats):
+    """Rotations of the quaternion columns read from a CSV file.  A quaternion
+    of zero norm is an error naming its line, numbered as `_read_csv` numbers
+    lines; only this error path reads the file again."""
+    zero = ~(quats * quats).any(axis=1)
+    if zero.any():
+        import csv
+
+        with open(path, newline="") as f:
+            rows = [(n, row) for n, row in enumerate(csv.reader(f), start=1) if row]
+        lineno, row = rows[1 + int(np.argmax(zero))]
+        raise ConfigError(f"{path}:{lineno}: zero quaternion in {row}")
+    return matrix_from_quat(quats)
+
+
 # --- dataset bundle ----------------------------------------------------------------
 
 IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az"]
@@ -148,9 +163,7 @@ def write_groundtruth_csv(path, times, rotations, positions, velocities):
 
 def read_groundtruth_csv(path):
     data = _read_csv(path, GT_HEADER)
-    times = data[:, 0]
-    rots = matrix_from_quat(data[:, 1:5])
-    return times, rots, data[:, 5:8], data[:, 8:11]
+    return data[:, 0], _rotations(path, data[:, 1:5]), data[:, 5:8], data[:, 8:11]
 
 
 def write_estimate_csv(path, times, rotations, positions, velocities, covariances):
@@ -162,12 +175,10 @@ def write_estimate_csv(path, times, rotations, positions, velocities, covariance
 
 def read_estimate_csv(path):
     data = _read_csv(path, EST_HEADER)
-    times = data[:, 0]
-    rots = matrix_from_quat(data[:, 1:5])
     covs = np.zeros((len(data), 6, 6))
     rows, cols = np.triu_indices(6)
     covs[:, rows, cols] = covs[:, cols, rows] = data[:, 11:]
-    return times, rots, data[:, 5:8], data[:, 8:11], covs
+    return data[:, 0], _rotations(path, data[:, 1:5]), data[:, 5:8], data[:, 8:11], covs
 
 
 # --- key-value configuration --------------------------------------------------------

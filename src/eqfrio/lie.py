@@ -34,7 +34,6 @@ _SERIES_MAX_TERMS = 30
 _UNSKEW_ROWS, _UNSKEW_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
 
 _ID3 = np.eye(3)
-_ID4 = np.eye(4)
 _ID5 = np.eye(5)
 
 
@@ -119,18 +118,19 @@ def _so3_coefficients(t2: float) -> tuple[float, float, float]:
     return (1.0 - cos) / t2, (t - math.sin(t)) / (t2 * t), (cos - 1.0 + 0.5 * t2) / (t2 * t2)
 
 
-def _so3(rotvec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(W), the left Jacobian I + c1 W + c2 W^2 and its second-order
-    sibling sum_k W^k/(k+2)! = I/2 + c2 W + c3 W^2, which couples velocity
-    into position through the Gal(3) time slot, of W = skew(rotvec), from
-    one coefficient triple: exp(W) = I + (1 - t^2 c2) W + c1 W^2, as
-    sin t / t = 1 - t^2 c2."""
+def _so3(rotvec: np.ndarray, forms: str) -> list[np.ndarray]:
+    """The matrices that `forms` names, in its order, of W = skew(rotvec)
+    from one coefficient triple: "R" exp(W) = I + (1 - t^2 c2) W + c1 W^2, as
+    sin t / t = 1 - t^2 c2; "J" the left Jacobian I + c1 W + c2 W^2; "N" its
+    second-order sibling sum_k W^k/(k+2)! = I/2 + c2 W + c3 W^2, which couples
+    velocity into position through the Gal(3) time slot."""
     t2 = float(rotvec @ rotvec)
     c1, c2, c3 = _so3_coefficients(t2)
     W = skew(rotvec)
     W2 = W @ W
-    return (_ID3 + (1.0 - t2 * c2) * W + c1 * W2, _ID3 + c1 * W + c2 * W2,
-            0.5 * _ID3 + c2 * W + c3 * W2)
+    return [_ID3 + (1.0 - t2 * c2) * W + c1 * W2 if form == "R" else
+            _ID3 + c1 * W + c2 * W2 if form == "J" else
+            0.5 * _ID3 + c2 * W + c3 * W2 for form in forms]
 
 
 def _check_coords(tag: str, v, dim: int) -> np.ndarray:
@@ -170,7 +170,7 @@ class SO3:
 
     @staticmethod
     def exp(v) -> np.ndarray:
-        return _so3(_check_coords("so3", v, 3))[0]
+        return _so3(_check_coords("so3", v, 3), "R")[0]
 
     @staticmethod
     def log(R) -> np.ndarray:
@@ -206,165 +206,120 @@ class SO3:
 
     @staticmethod
     def left_jacobian(v) -> np.ndarray:
-        return _so3(_check_coords("so3", v, 3))[1]
+        return _so3(_check_coords("so3", v, 3), "J")[0]
 
 
-class SE3:
+class _SEK3:
+    """SE_K(3): a rotation R and K translation-like columns x_1 .. x_K,
+    (3 + K)x(3 + K) matrices [[R, x_1 .. x_K], [0, I]] with coordinates
+    (rot, x_1, ..., x_K) (Barrau & Bonnabel, arXiv 1510.06263).  Every
+    formula treats each column as SE(3) treats its translation.  A subclass
+    sets dim = 3 + 3K, mat = 3 + K and its coordinate tag."""
+
+    dim: int
+    mat: int
+    _tag: str
+
+    def __init_subclass__(cls):
+        cls._identity = np.eye(cls.mat)
+        # (matrix column, coordinate slice) of each translation-like column
+        cls._columns = tuple((k, slice(3 * k - 6, 3 * k - 3)) for k in range(3, cls.mat))
+
+    @classmethod
+    def from_components(cls, R, *columns) -> np.ndarray:
+        if len(columns) != cls.mat - 3:
+            raise TypeError(f"{cls.__name__} takes a rotation and {cls.mat - 3} columns")
+        X = cls._identity.copy()
+        X[0:3, 0:3] = R
+        for k, x in enumerate(columns, start=3):
+            X[0:3, k] = x
+        return X
+
+    @classmethod
+    def components(cls, X) -> tuple[np.ndarray, ...]:
+        X = np.asarray(X, dtype=float)
+        return (X[0:3, 0:3], *(X[0:3, k] for k in range(3, cls.mat)))
+
+    @classmethod
+    def wedge(cls, v) -> np.ndarray:
+        v = _check_coords(cls._tag, v, cls.dim)
+        W = np.zeros((cls.mat, cls.mat))
+        W[0:3, 0:3] = skew(v[0:3])
+        W[0:3, 3:] = v[3:].reshape(-1, 3).T
+        return W
+
+    @classmethod
+    def vee(cls, M) -> np.ndarray:
+        M = np.asarray(M, dtype=float)
+        if M.shape != (cls.mat, cls.mat):
+            raise ValueError(f"{cls._tag} vee expects a {cls.mat}x{cls.mat} matrix, "
+                             f"got {M.shape}")
+        v = np.concatenate([unskew(M[0:3, 0:3]), M[0:3, 3:].T.ravel()])
+        _check_embedded(cls._tag, M, cls.wedge(v))
+        return v
+
+    @classmethod
+    def inverse(cls, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        Y = cls._identity.copy()
+        Y[0:3, 0:3] = Rt = X[0:3, 0:3].T
+        for k in range(3, cls.mat):
+            Y[0:3, k] = -Rt @ X[0:3, k]
+        return Y
+
+    @classmethod
+    def exp(cls, v) -> np.ndarray:
+        v = _check_coords(cls._tag, v, cls.dim)
+        X = cls._identity.copy()
+        X[0:3, 0:3], J = _so3(v[0:3], "RJ")
+        for k, c in cls._columns:
+            X[0:3, k] = J @ v[c]
+        return X
+
+    @classmethod
+    def log(cls, X) -> np.ndarray:
+        R, *columns = cls.components(X)
+        rot = SO3.log(R)
+        J, = _so3(rot, "J")
+        return np.concatenate([rot, *(np.linalg.solve(J, x) for x in columns)])
+
+    @classmethod
+    def adjoint(cls, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        R = X[0:3, 0:3]
+        Ad = np.zeros((cls.dim, cls.dim))
+        Ad[0:3, 0:3] = R
+        for k, c in cls._columns:
+            Ad[c, 0:3] = skew(X[0:3, k]) @ R
+            Ad[c, c] = R
+        return Ad
+
+    @classmethod
+    def little_adjoint(cls, v) -> np.ndarray:
+        v = _check_coords(cls._tag, v, cls.dim)
+        W = skew(v[0:3])
+        ad = np.zeros((cls.dim, cls.dim))
+        ad[0:3, 0:3] = W
+        for _, c in cls._columns:
+            ad[c, 0:3] = skew(v[c])
+            ad[c, c] = W
+        return ad
+
+    @classmethod
+    def left_jacobian(cls, v) -> np.ndarray:
+        return _left_jacobian_stable(cls, np.asarray(v, dtype=float))
+
+
+class SE3(_SEK3):
     """Rigid transforms, elements are 4x4 matrices, coordinates (rot, trans)."""
 
-    dim = 6
-    mat = 4
-
-    @staticmethod
-    def from_components(R, t) -> np.ndarray:
-        X = _ID4.copy()
-        X[0:3, 0:3] = R
-        X[0:3, 3] = t
-        return X
-
-    @staticmethod
-    def components(X) -> tuple[np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
-        return X[0:3, 0:3], X[0:3, 3]
-
-    @staticmethod
-    def wedge(v) -> np.ndarray:
-        v = _check_coords("se3", v, 6)
-        W = np.zeros((4, 4))
-        W[0:3, 0:3] = skew(v[0:3])
-        W[0:3, 3] = v[3:6]
-        return W
-
-    @staticmethod
-    def vee(M) -> np.ndarray:
-        M = np.asarray(M, dtype=float)
-        if M.shape != (4, 4):
-            raise ValueError(f"se3 vee expects a 4x4 matrix, got {M.shape}")
-        v = np.concatenate([unskew(M[0:3, 0:3]), M[0:3, 3]])
-        _check_embedded("se3", M, SE3.wedge(v))
-        return v
-
-    @staticmethod
-    def inverse(X) -> np.ndarray:
-        R, t = SE3.components(X)
-        return SE3.from_components(R.T, -R.T @ t)
-
-    @staticmethod
-    def exp(v) -> np.ndarray:
-        v = _check_coords("se3", v, 6)
-        R, J, _ = _so3(v[0:3])
-        return SE3.from_components(R, J @ v[3:6])
-
-    @staticmethod
-    def log(X) -> np.ndarray:
-        R, t = SE3.components(X)
-        rot = SO3.log(R)
-        return np.concatenate([rot, np.linalg.solve(_so3(rot)[1], t)])
-
-    @staticmethod
-    def adjoint(X) -> np.ndarray:
-        R, t = SE3.components(X)
-        Ad = np.zeros((6, 6))
-        Ad[0:3, 0:3] = R
-        Ad[3:6, 0:3] = skew(t) @ R
-        Ad[3:6, 3:6] = R
-        return Ad
-
-    @staticmethod
-    def little_adjoint(v) -> np.ndarray:
-        v = _check_coords("se3", v, 6)
-        ad = np.zeros((6, 6))
-        ad[0:3, 0:3] = skew(v[0:3])
-        ad[3:6, 0:3] = skew(v[3:6])
-        ad[3:6, 3:6] = skew(v[0:3])
-        return ad
-
-    @staticmethod
-    def left_jacobian(v) -> np.ndarray:
-        return _left_jacobian_stable(SE3, np.asarray(v, dtype=float))
+    dim, mat, _tag = 6, 4, "se3"
 
 
-class SE23:
+class SE23(_SEK3):
     """Extended poses, 5x5 matrices, coordinates (rot, vel, pos)."""
 
-    dim = 9
-    mat = 5
-
-    @staticmethod
-    def from_components(R, v, p) -> np.ndarray:
-        X = _ID5.copy()
-        X[0:3, 0:3] = R
-        X[0:3, 3] = v
-        X[0:3, 4] = p
-        return X
-
-    @staticmethod
-    def components(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
-        return X[0:3, 0:3], X[0:3, 3], X[0:3, 4]
-
-    @staticmethod
-    def wedge(v) -> np.ndarray:
-        v = _check_coords("se23", v, 9)
-        W = np.zeros((5, 5))
-        W[0:3, 0:3] = skew(v[0:3])
-        W[0:3, 3] = v[3:6]
-        W[0:3, 4] = v[6:9]
-        return W
-
-    @staticmethod
-    def vee(M) -> np.ndarray:
-        M = np.asarray(M, dtype=float)
-        if M.shape != (5, 5):
-            raise ValueError(f"se23 vee expects a 5x5 matrix, got {M.shape}")
-        v = np.concatenate([unskew(M[0:3, 0:3]), M[0:3, 3], M[0:3, 4]])
-        _check_embedded("se23", M, SE23.wedge(v))
-        return v
-
-    @staticmethod
-    def inverse(X) -> np.ndarray:
-        R, v, p = SE23.components(X)
-        return SE23.from_components(R.T, -R.T @ v, -R.T @ p)
-
-    @staticmethod
-    def exp(u) -> np.ndarray:
-        u = _check_coords("se23", u, 9)
-        R, J, _ = _so3(u[0:3])
-        return SE23.from_components(R, J @ u[3:6], J @ u[6:9])
-
-    @staticmethod
-    def log(X) -> np.ndarray:
-        R, v, p = SE23.components(X)
-        rot = SO3.log(R)
-        J = _so3(rot)[1]
-        return np.concatenate([rot, np.linalg.solve(J, v), np.linalg.solve(J, p)])
-
-    @staticmethod
-    def adjoint(X) -> np.ndarray:
-        R, v, p = SE23.components(X)
-        Ad = np.zeros((9, 9))
-        Ad[0:3, 0:3] = R
-        Ad[3:6, 0:3] = skew(v) @ R
-        Ad[3:6, 3:6] = R
-        Ad[6:9, 0:3] = skew(p) @ R
-        Ad[6:9, 6:9] = R
-        return Ad
-
-    @staticmethod
-    def little_adjoint(u) -> np.ndarray:
-        u = _check_coords("se23", u, 9)
-        W = skew(u[0:3])
-        ad = np.zeros((9, 9))
-        ad[0:3, 0:3] = W
-        ad[3:6, 0:3] = skew(u[3:6])
-        ad[3:6, 3:6] = W
-        ad[6:9, 0:3] = skew(u[6:9])
-        ad[6:9, 6:9] = W
-        return ad
-
-    @staticmethod
-    def left_jacobian(u) -> np.ndarray:
-        return _left_jacobian_stable(SE23, np.asarray(u, dtype=float))
+    dim, mat, _tag = 9, 5, "se23"
 
 
 class Gal3:
@@ -415,14 +370,14 @@ class Gal3:
     def exp(u) -> np.ndarray:
         u = _check_coords("gal3", u, 10)
         rot, vel, pos, time = u[0:3], u[3:6], u[6:9], u[9]
-        R, J, N = _so3(rot)
+        R, J, N = _so3(rot, "RJN")
         return Gal3.from_components(R, J @ vel, J @ pos + time * (N @ vel), time)
 
     @staticmethod
     def log(X) -> np.ndarray:
         R, v, p, c = Gal3.components(X)
         rot = SO3.log(R)
-        _, J, N = _so3(rot)
+        J, N = _so3(rot, "JN")
         vel = np.linalg.solve(J, v)
         pos = np.linalg.solve(J, p - c * (N @ vel))
         return np.concatenate([rot, vel, pos, [c]])

@@ -175,6 +175,25 @@ def test_csv_non_finite_value_names_file_and_line(tmp_path, value):
         read_imu_csv(path)
 
 
+@pytest.mark.parametrize("kind", ["groundtruth", "estimate"])
+def test_zero_quaternion_names_file_and_line(tmp_path, kind):
+    # the blank line counts, as it does for the other CSV errors
+    path = tmp_path / f"{kind}.csv"
+    rots, zeros = np.stack([np.eye(3)] * 3), np.zeros((3, 3))
+    if kind == "groundtruth":
+        write_groundtruth_csv(path, np.arange(3.0), rots, zeros, zeros)
+    else:
+        write_estimate_csv(path, np.arange(3.0), rots, zeros, zeros, np.zeros((3, 6, 6)))
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1:5] = ["0", "0", "0", "-0"]
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    reader = read_groundtruth_csv if kind == "groundtruth" else read_estimate_csv
+    with pytest.raises(ConfigError, match=rf"{kind}\.csv:5: zero quaternion"):
+        reader(path)
+
+
 def test_csv_short_rows_are_not_regrouped(tmp_path):
     # 7 rows of 6 values hold 42 values, as many as 6 rows of 7
     path = tmp_path / "imu.csv"

@@ -89,7 +89,7 @@ def cmd_run(data_dir, config_path, out_dir) -> int:
             "nav": belief.sym.nav.tolist(),
             "bias_shift": belief.sym.bias_shift.tolist(),
             "cal": belief.sym.cal.tolist(),
-            "clones": [c.tolist() for c in belief.sym.clones],
+            "clones": belief.sym.clones.tolist(),
             "clone_stamps": list(belief.stamps),
             "covariance": belief.cov.tolist(),
         }, f)

@@ -96,9 +96,12 @@ def _check_covariance(cov: np.ndarray, dof: int) -> np.ndarray:
         raise ValueError(f"covariance must be {dof}x{dof}, got {cov.shape}")
     if np.max(np.abs(cov - cov.T)) > 1e-9:
         raise ValueError("covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) < -1e-9:
+    cov = 0.5 * (cov + cov.T)
+    # eigvalsh rounds in proportion to the largest variance (a start far from the origin)
+    tol = max(1e-9, 64 * np.finfo(float).eps * np.max(np.abs(np.diag(cov))))
+    if np.min(np.linalg.eigvalsh(cov)) < -tol:
         raise ValueError("covariance must be positive semidefinite")
-    return 0.5 * (cov + cov.T)
+    return cov
 
 
 def initialize(xi_init: SystemState, cov_init) -> FilterBelief:
@@ -279,11 +282,9 @@ def clone_augment(belief: FilterBelief, stamp: float, feature_ids,
     if belief.stamps and stamp <= belief.stamps[-1]:
         raise ValueError("clone timestamps must be strictly increasing")
     sel = np.r_[0 : belief.dof, 18:24]
-    cov = belief.cov[np.ix_(sel, sel)]
-    sym = belief.sym._replace(clones=belief.sym.clones + (belief.sym.cal.copy(),))
     return belief._replace(
-        sym=sym,
-        cov=cov,
+        sym=belief.sym._replace(clones=np.concatenate([belief.sym.clones, [belief.sym.cal]])),
+        cov=belief.cov[np.ix_(sel, sel)],
         stamps=belief.stamps + (float(stamp),),
         features=belief.features + (frozenset(feature_ids),),
     )
@@ -293,11 +294,9 @@ def clone_marginalize(belief: FilterBelief, index: int) -> FilterBelief:
     """Drop one clone and its covariance rows and columns."""
     if not 0 <= index < belief.n_clones:
         raise ValueError(f"invalid clone index {index}")
-    sel = list(range(belief.dof))
-    del sel[24 + 6 * index : 30 + 6 * index]
-    clones = tuple(F for i, F in enumerate(belief.sym.clones) if i != index)
+    sel = np.delete(np.arange(belief.dof), np.s_[24 + 6 * index : 30 + 6 * index])
     return belief._replace(
-        sym=belief.sym._replace(clones=clones),
+        sym=belief.sym._replace(clones=np.delete(belief.sym.clones, index, axis=0)),
         cov=belief.cov[np.ix_(sel, sel)],
         stamps=tuple(s for i, s in enumerate(belief.stamps) if i != index),
         features=tuple(f for i, f in enumerate(belief.features) if i != index),

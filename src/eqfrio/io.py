@@ -103,17 +103,19 @@ def _read_csv(path, expected_header):
 
 
 def _rotations(path, quats):
-    """Rotations of the quaternion columns read from a CSV file.  A quaternion
-    of zero norm is an error naming its line, numbered as `_read_csv` numbers
-    lines; only this error path reads the file again."""
-    zero = ~(quats * quats).any(axis=1)
-    if zero.any():
+    """Rotations of the quaternion columns read from a CSV file.  A q whose q.q
+    is zero or overflows is an error naming its line, numbered as `_read_csv`
+    numbers lines; only this error path reads the file again."""
+    qq = np.einsum("ij,ij->i", quats, quats)
+    bad = np.flatnonzero(~((0.0 < qq) & (qq < np.inf)))
+    if bad.size:
         import csv
 
         with open(path, newline="") as f:
             rows = [(n, row) for n, row in enumerate(csv.reader(f), start=1) if row]
-        lineno, row = rows[1 + int(np.argmax(zero))]
-        raise ConfigError(f"{path}:{lineno}: zero quaternion in {row}")
+        lineno, row = rows[1 + bad[0]]
+        kind = "zero" if qq[bad[0]] == 0.0 else "overflowing"
+        raise ConfigError(f"{path}:{lineno}: {kind} quaternion in {row}")
     return matrix_from_quat(quats)
 
 

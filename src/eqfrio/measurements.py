@@ -134,7 +134,7 @@ def point_constraint_model(xi: SystemState, clone_index, point_then):
     index = np.asarray(clone_index)
     if ((index < 0) | (index >= xi.n_clones)).any():
         raise ValueError(f"invalid clone index {clone_index}")
-    F = np.asarray(xi.clones)[index]
+    F = xi.clones[index]
     point_then = np.asarray(point_then, dtype=float)
     world = (F[..., 0:3, 0:3] @ point_then[..., None])[..., 0] + F[..., 0:3, 3]
     # a rigid motion keeps lengths, so only the current radar origin matters
@@ -157,7 +157,7 @@ def point_rows(X: SymmetryElement, clone_index, point_then):
     if ((index < 0) | (index >= X.n_clones)).any():
         raise ValueError(f"invalid clone index {clone_index}")
     _, f = SE3.components(X.cal)
-    F = np.asarray(X.clones)[index]
+    F = X.clones[index]
     Ei = F[..., 0:3, 0:3]
     y = (Ei @ point_then[..., None])[..., 0] + F[..., 0:3, 3]   # clone image
     h_vec = y - f                         # from the current radar origin to y

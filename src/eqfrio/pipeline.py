@@ -230,7 +230,8 @@ def initial_covariance(xi_hat: SystemState, std: np.ndarray) -> np.ndarray:
     G[21:24, 0:3] = skew(p) @ R
     G[21:24, 6:9] = np.eye(3)
     G[18:24, 18:24] = SE3.adjoint(xi_hat.radar_pose())
-    return G @ np.diag(std**2) @ G.T
+    M = G @ np.diag(std**2) @ G.T
+    return 0.5 * (M + M.T)   # M's rounding asymmetry grows with |p|
 
 
 class RunResult(NamedTuple):

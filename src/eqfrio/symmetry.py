@@ -23,6 +23,7 @@ import numpy as np
 from .lie import SE3, SE23, Gal3, se3_part
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+_NO_CLONES = np.broadcast_to(np.eye(4), (0, 4, 4))   # read-only
 
 
 def gravity_generator(gravity=GRAVITY) -> np.ndarray:
@@ -61,7 +62,7 @@ class _SystemState(NamedTuple):
     pose: np.ndarray
     bias: np.ndarray
     cal: np.ndarray
-    clones: tuple = ()
+    clones: np.ndarray = _NO_CLONES
     stamps: tuple = ()
 
 
@@ -71,15 +72,15 @@ class SystemState(CheckedRecord, _SystemState):
     pose    5x5 extended pose (attitude, velocity m/s, position m)
     bias    (9,) gyro bias rad/s, accel bias m/s^2, virtual velocity bias m/s
     cal     4x4 radar pose in the IMU frame
-    clones  past radar poses, 4x4 each
+    clones  (k, 4, 4) past radar poses
     stamps  clone timestamps, strictly increasing
     """
 
     __slots__ = ()
 
     def _check(self):
-        if len(self.clones) != len(self.stamps):
-            raise ValueError("one timestamp per clone required")
+        if not isinstance(self.clones, np.ndarray) or self.clones.shape != (len(self.stamps), 4, 4):
+            raise ValueError("clones must be a (k, 4, 4) array, one timestamp per clone")
         if any(b >= a for a, b in zip(self.stamps[1:], self.stamps)):
             raise ValueError("clone timestamps must be strictly increasing")
 
@@ -108,7 +109,7 @@ def identity_state(n_clones: int = 0, stamps: tuple = ()) -> SystemState:
         pose=np.eye(5),
         bias=np.zeros(9),
         cal=np.eye(4),
-        clones=tuple(np.eye(4) for _ in range(n_clones)),
+        clones=np.tile(np.eye(4), (n_clones, 1, 1)),
         stamps=tuple(stamps),
     )
 
@@ -119,13 +120,13 @@ class SymmetryElement(NamedTuple):
     nav         5x5 extended pose transporting the navigation states
     bias_shift  (9,) algebra vector shifting the biases (tangent-group slot)
     cal         4x4 transport of the extrinsic pose
-    clones      4x4 transports of the pose clones
+    clones      (k, 4, 4) transports of the pose clones
     """
 
     nav: np.ndarray
     bias_shift: np.ndarray
     cal: np.ndarray
-    clones: tuple = ()
+    clones: np.ndarray = _NO_CLONES
 
     @property
     def n_clones(self) -> int:
@@ -140,7 +141,7 @@ def group_compose(X: SymmetryElement, Y: SymmetryElement) -> SymmetryElement:
         nav=X.nav @ Y.nav,
         bias_shift=X.bias_shift + SE23.adjoint(X.nav) @ Y.bias_shift,
         cal=X.cal @ Y.cal,
-        clones=tuple(Fx @ Fy for Fx, Fy in zip(X.clones, Y.clones)),
+        clones=X.clones @ Y.clones,
     )
 
 
@@ -151,7 +152,7 @@ def group_inverse(X: SymmetryElement) -> SymmetryElement:
         nav=nav,
         bias_shift=-(SE23.adjoint(nav) @ X.bias_shift),
         cal=SE3.inverse(X.cal),
-        clones=tuple(SE3.inverse(F) for F in X.clones),
+        clones=np.array([SE3.inverse(F) for F in X.clones]).reshape(-1, 4, 4),
     )
 
 
@@ -159,9 +160,7 @@ def group_log(X: SymmetryElement) -> np.ndarray:
     # log (A, a) = (u, Jl(u)^-1 a) with u = log A
     nav = SE23.log(X.nav)
     shift = np.linalg.solve(SE23.left_jacobian(nav), X.bias_shift)
-    parts = [nav, shift, SE3.log(X.cal)]
-    parts.extend(SE3.log(F) for F in X.clones)
-    return np.concatenate(parts)
+    return np.concatenate([nav, shift, SE3.log(X.cal), *map(SE3.log, X.clones)])
 
 
 class _SystemInput(NamedTuple):
@@ -214,7 +213,7 @@ def state_action(X: SymmetryElement, xi: SystemState) -> SystemState:
         pose=xi.pose @ X.nav,
         bias=SE23.adjoint(nav_inv) @ (xi.bias - X.bias_shift),
         cal=se3_part(nav_inv) @ xi.cal @ X.cal,
-        clones=tuple(P @ F for P, F in zip(xi.clones, X.clones)),
+        clones=xi.clones @ X.clones,
         stamps=xi.stamps,
     )
 
@@ -229,9 +228,8 @@ def state_action_inverse(origin: SystemState, xi: SystemState) -> SymmetryElemen
         nav=nav,
         bias_shift=origin.bias - SE23.adjoint(nav) @ xi.bias,
         cal=SE3.inverse(origin.cal) @ se3_part(nav) @ xi.cal,
-        clones=tuple(
-            SE3.inverse(Po) @ P for Po, P in zip(origin.clones, xi.clones)
-        ),
+        clones=(np.array([SE3.inverse(F) for F in origin.clones]).reshape(-1, 4, 4)
+                @ xi.clones),
     )
 
 
@@ -287,7 +285,7 @@ def lift(xi: SystemState, u: SystemInput, dt: float, gravity=GRAVITY) -> Symmetr
         nav=nav,
         bias_shift=xi.bias - SE23.adjoint(nav) @ (xi.bias + dt * u.tau),
         cal=cal_inv @ se3_part(nav) @ xi.cal @ SE3.exp(dt * u.mu),
-        clones=tuple(np.eye(4) for _ in xi.clones),
+        clones=np.tile(np.eye(4), (xi.n_clones, 1, 1)),
     )
 
 
@@ -315,5 +313,5 @@ def error_inverse(eps) -> SymmetryElement:
         nav=SE23.exp(eps[0:9]),
         bias_shift=SE23.left_jacobian(eps[0:9]) @ eps[9:18],
         cal=SE3.exp(eps[18:24]),
-        clones=tuple(SE3.exp(c) for c in eps[24:].reshape(-1, 6)),
+        clones=np.array([SE3.exp(c) for c in eps[24:].reshape(-1, 6)]).reshape(-1, 4, 4),
     )

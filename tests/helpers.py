@@ -48,7 +48,7 @@ def group_identity(n_clones=0):
         nav=np.eye(5),
         bias_shift=np.zeros(9),
         cal=np.eye(4),
-        clones=tuple(np.eye(4) for _ in range(n_clones)),
+        clones=np.tile(np.eye(4), (n_clones, 1, 1)),
     )
 
 
@@ -67,6 +67,16 @@ def adjoint_conjugation_oracle(group, X):
         e[i] = 1.0
         cols.append(group.vee(X @ group.wedge(e) @ Xinv))
     return np.column_stack(cols)
+
+
+def left_jacobian_block_oracle(group, coords):
+    """Jl(u), the integral of expm(s ad_u) over [0, 1], as the top-right block
+    of expm([[ad_u, I], [0, 0]])."""
+    n = group.dim
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = group.little_adjoint(coords)
+    block[:n, n:] = np.eye(n)
+    return expm(block)[:n, n:]
 
 
 def left_jacobian_quadrature_oracle(group, coords, panels=64):

@@ -38,7 +38,7 @@ from helpers import (
     assert_close,
     central_difference,
     embed_core,
-    left_jacobian_quadrature_oracle,
+    left_jacobian_block_oracle,
     random_coords,
 )
 from test_filter import random_belief
@@ -68,7 +68,7 @@ def test_criterion_1_lie_kernel_oracles():
             u = random_coords(rng, group, rot_scale=0.4, lin_scale=0.4)
             worst = max(worst, np.abs(
                 group.left_jacobian(u)
-                - left_jacobian_quadrature_oracle(group, u)).max())
+                - left_jacobian_block_oracle(group, u)).max())
     elapsed = time.monotonic() - start
     assert worst < 1e-8, f"worst oracle deviation {worst:.2e}"
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s"

@@ -19,6 +19,7 @@ from eqfrio.filter import (
     update_doppler,
     update_msc,
 )
+from eqfrio.io import parse_kv_file
 from eqfrio.lie import SE3, SE23, SO3, Gal3, se3_part
 from eqfrio.measurements import (
     DopplerNoiseSpec,
@@ -29,7 +30,15 @@ from eqfrio.measurements import (
     point_constraint_model,
     point_rows,
 )
-from eqfrio.pipeline import initial_covariance
+from eqfrio.pipeline import (
+    RUN_SCHEMA,
+    SIM_SCHEMA,
+    initial_covariance,
+    prepare_run,
+    run_filter,
+    sim_setup_from_values,
+)
+from eqfrio.simulator import run_simulation
 from eqfrio.symmetry import (
     SymmetryElement,
     SystemInput,
@@ -47,6 +56,7 @@ from eqfrio.symmetry import (
 )
 from helpers import assert_close, central_difference, embed_core, random_element
 from test_symmetry import random_group, random_input, random_state
+from write_golden import GOLDEN
 
 
 def random_cov(rng, n, scale=0.1):
@@ -97,6 +107,46 @@ def test_initialize_rejects_non_psd():
     cov = -np.eye(24)
     with pytest.raises(ValueError, match="semidefinite"):
         initialize(identity_state(), cov)
+
+
+@pytest.mark.parametrize("scale,dip,accepted", [
+    (1.0, 5e-10, True), (1.0, 2e-9, False),      # the 1e-9 floor up to a 7e4 diagonal
+    (1e8, 1e-6, True), (1e8, 2e-6, False),       # 64 eps max|diag P| = 1.42e-6 at 1e8
+])
+def test_initialize_psd_tolerance_scales_with_largest_variance(scale, dip, accepted):
+    cov = np.diag(np.r_[np.full(23, scale), -dip])
+    if accepted:
+        assert np.array_equal(initialize(identity_state(), cov).cov, cov)
+    else:
+        with pytest.raises(ValueError, match="semidefinite"):
+            initialize(identity_state(), cov)
+
+
+def test_run_starts_far_from_the_world_origin():
+    # 10 km out, the initial covariance's rounding asymmetry (1.9e-9 already
+    # at 3 km) and its eigenvalues' rounding (down to -3.7e-8 at a 2.4e8
+    # diagonal) failed initialize's absolute 1e-9 bounds; the run is the one
+    # at the origin moved by the shift, to the rounding of a 10 km position
+    values, seen = parse_kv_file(GOLDEN / "sim.cfg", SIM_SCHEMA)
+    spec, config = sim_setup_from_values({**values, "duration": 20.0, "seed": 1001}, seen)
+    run_values, _ = parse_kv_file(GOLDEN / "run.cfg", RUN_SCHEMA)
+    assert run_values["perturb.calibration"] == "y:80deg"
+    sim = run_simulation(spec, config)
+
+    def run(shift):
+        settings, xi0, cov0 = prepare_run(run_values, config.imu_rate, sim.rotations[0],
+                                          sim.velocities[0], sim.positions[0] + shift,
+                                          config.extrinsics())
+        return run_filter(sim.times, sim.imu_gyro, sim.imu_accel, sim.scans, xi0, cov0,
+                          settings, cal_rot_truth=config.extrinsics()[0:3, 0:3])
+
+    shift = np.array([1e4, 5e3, 0.0])
+    near, far = run(np.zeros(3)), run(shift)
+    assert far.skipped_updates == near.skipped_updates == 0
+    # measured: 2.1e-4 m, 1.6e-4 m/s, 1.3e-5 rad; final position error 0.55 m
+    assert np.abs(far.est_pos - shift - near.est_pos).max() < 1e-3
+    assert np.abs(far.est_vel - near.est_vel).max() < 1e-3
+    assert np.abs(far.e_angle - near.e_angle).max() < 1e-4
 
 
 # --- propagation matrices ---------------------------------------------------------

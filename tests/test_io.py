@@ -175,9 +175,10 @@ def test_csv_non_finite_value_names_file_and_line(tmp_path, value):
         read_imu_csv(path)
 
 
-@pytest.mark.parametrize("kind", ["groundtruth", "estimate"])
-def test_zero_quaternion_names_file_and_line(tmp_path, kind):
-    # the blank line counts, as it does for the other CSV errors
+def _read_with_quaternion(tmp_path, kind, quaternion):
+    """Read a three-row groundtruth or estimate file whose third row holds the
+    given quaternion, after a blank line that counts, as it does for the
+    other CSV errors, so the row is on line 5."""
     path = tmp_path / f"{kind}.csv"
     rots, zeros = np.stack([np.eye(3)] * 3), np.zeros((3, 3))
     if kind == "groundtruth":
@@ -186,12 +187,26 @@ def test_zero_quaternion_names_file_and_line(tmp_path, kind):
         write_estimate_csv(path, np.arange(3.0), rots, zeros, zeros, np.zeros((3, 6, 6)))
     lines = path.read_text().splitlines()
     fields = lines[3].split(",")
-    fields[1:5] = ["0", "0", "0", "-0"]
+    fields[1:5] = quaternion
     lines[3] = ",".join(fields)
     path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
     reader = read_groundtruth_csv if kind == "groundtruth" else read_estimate_csv
+    return reader(path)
+
+
+@pytest.mark.parametrize("kind", ["groundtruth", "estimate"])
+def test_zero_quaternion_names_file_and_line(tmp_path, kind):
     with pytest.raises(ConfigError, match=rf"{kind}\.csv:5: zero quaternion"):
-        reader(path)
+        _read_with_quaternion(tmp_path, kind, ["0", "0", "0", "-0"])
+
+
+@pytest.mark.parametrize("kind", ["groundtruth", "estimate"])
+def test_overflowing_quaternion_names_file_and_line(tmp_path, kind):
+    # q.q overflows to inf, and q / sqrt(q.q) would read back as the identity
+    with pytest.raises(ConfigError, match=rf"{kind}\.csv:5: overflowing quaternion"):
+        _read_with_quaternion(tmp_path, kind, ["1e200", "0", "0", "0"])
+    rot = _read_with_quaternion(tmp_path, kind, ["1e150", "0", "0", "1e150"])[1]
+    assert np.allclose(rot[2], SO3.exp([0.0, 0.0, np.pi / 2]), atol=1e-15)
 
 
 def test_csv_short_rows_are_not_regrouped(tmp_path):

@@ -20,6 +20,7 @@ from helpers import (
     assert_close,
     central_difference,
     expm_oracle,
+    left_jacobian_block_oracle,
     left_jacobian_quadrature_oracle,
     random_coords,
     random_element,
@@ -361,15 +362,10 @@ def test_exp_matches_expm_property(tag, group, angle, axis, linear):
 @settings(max_examples=50, deadline=None)
 @given(angle=st.floats(0.0, FAR_ANGLE), axis=AXIS, linear=LINEAR)
 def test_left_jacobian_matches_block_exponential(tag, group, angle, axis, linear):
-    # Jl(u) is the integral of expm(s ad_u) over [0, 1], the top-right block
-    # of expm([[ad_u, I], [0, 0]]).  Measured worst 6.1e-15 relative, in
-    # the draws of EXP_RTOL.
+    # measured worst 6.1e-15 relative, in the draws of EXP_RTOL
     u = _coords(group, angle, axis, linear)
-    n = group.dim
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = group.little_adjoint(u)
-    block[:n, n:] = np.eye(n)
-    assert_close(group.left_jacobian(u), expm(block)[:n, n:], 1e-13, f"{tag} Jl")
+    assert_close(group.left_jacobian(u), left_jacobian_block_oracle(group, u), 1e-13,
+                 f"{tag} Jl")
 
 
 def test_gal3_exp_matches_expm_at_small_rotations():

@@ -175,7 +175,7 @@ def test_point_constraint_same_pose_clone():
     xi = random_state(rng, 0)
     clone = xi.radar_pose()
     xi = SystemState(pose=xi.pose, bias=xi.bias, cal=xi.cal,
-                     clones=(clone,), stamps=(0.0,))
+                     clones=clone[None], stamps=(0.0,))
     p = np.array([1.0, -2.0, 0.5])
     assert np.isclose(point_constraint_model(xi, 0, p), np.linalg.norm(p))
 
@@ -183,7 +183,7 @@ def test_point_constraint_same_pose_clone():
 def test_point_constraint_pure_translation():
     xi = SystemState(
         pose=np.eye(5), bias=np.zeros(9), cal=np.eye(4),
-        clones=(SE3.from_components(np.eye(3), np.array([1.0, 0.0, 0.0])),),
+        clones=SE3.from_components(np.eye(3), np.array([1.0, 0.0, 0.0]))[None],
         stamps=(0.0,),
     )
     assert np.isclose(point_constraint_model(xi, 0, [1.0, 0.0, 0.0]), 2.0)
@@ -201,7 +201,7 @@ def test_point_constraint_world_frame_invariance():
         moved = SystemState(
             pose=SE23.from_components(R_g @ R, v, R_g @ pos + t_g),
             bias=xi.bias, cal=xi.cal,
-            clones=(G @ xi.clones[0],), stamps=xi.stamps,
+            clones=G @ xi.clones, stamps=xi.stamps,
         )
         assert np.isclose(point_constraint_model(moved, 0, p), h0, atol=1e-10)
 

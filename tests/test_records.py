@@ -86,7 +86,7 @@ BAD_VALUES = [
      lambda: SystemState(np.eye(5), np.zeros(9), np.eye(4), clones=(np.eye(4),))),
     ("strictly increasing",
      lambda: SystemState(np.eye(5), np.zeros(9), np.eye(4),
-                         (np.eye(4), np.eye(4)), (1.0, 1.0))),
+                         np.tile(np.eye(4), (2, 1, 1)), (1.0, 1.0))),
     ("10-vector", lambda: SystemInput(np.zeros(9), np.zeros(9), np.zeros(6))),
     ("unit slot", lambda: SystemInput(np.zeros(10), np.zeros(9), np.zeros(6))),
     ("frequencies", lambda: TrajectorySpec(1.0, pos_freq=(0.1, -0.1, 0.0))),

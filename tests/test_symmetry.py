@@ -32,7 +32,8 @@ def random_state(rng, k=0):
         pose=random_element(rng, SE23, rot_scale=0.8),
         bias=0.1 * rng.standard_normal(9),
         cal=random_element(rng, SE3, rot_scale=0.8),
-        clones=tuple(random_element(rng, SE3, rot_scale=0.8) for _ in range(k)),
+        clones=np.array([random_element(rng, SE3, rot_scale=0.8)
+                         for _ in range(k)]).reshape(-1, 4, 4),
         stamps=stamps,
     )
 
@@ -44,7 +45,8 @@ def random_group(rng, k=0):
         nav=random_element(rng, SE23, rot_scale=0.8),
         bias_shift=0.5 * rng.standard_normal(9),
         cal=random_element(rng, SE3, rot_scale=0.8),
-        clones=tuple(random_element(rng, SE3, rot_scale=0.8) for _ in range(k)),
+        clones=np.array([random_element(rng, SE3, rot_scale=0.8)
+                         for _ in range(k)]).reshape(-1, 4, 4),
     )
 
 

@@ -8,12 +8,12 @@ so independent runs can share nothing and proceed in parallel.
 
 Propagation (`propagation_step`) composes the estimate with the `lift` of
 the dynamics at the identity origin and forms the analytic error matrices
-from the same Galilean exponential.  It moves only the 24 core states;
-clones are static.  Process noise is a 25x25 matrix of continuous-time
-densities over the input vector (10 navigation slots, 9 bias drive, 6
-calibration drive); the propagation injects B Q B^T / dt into the core,
-which scales the net noise with dt as the densities require.  The unit
-input slot carries no noise.
+from the same Galilean exponential.  The mean uses only the navigation input
+(the IMU sample) and moves only the 24 core states; clones are static.
+Process noise is a 25x25 matrix of continuous-time densities over the input
+vector (10 navigation slots, 9 bias drive, 6 calibration drive); the drives
+enter as noise alone, and B Q B^T / dt goes into the core, which scales the
+net noise with dt.  The unit input slot carries no noise.
 
 The updates read the estimate straight off the group element.  With L the
 Cholesky factor of S = C P C^T + R, one solve gives W = L^-1 C P and w = L^-1 r:
@@ -130,35 +130,34 @@ def estimated_state(belief: FilterBelief) -> SystemState:
     return SystemState(belief.sym.nav, bias, cal, belief.sym.clones, belief.stamps)
 
 
-def propagation_step(X: SymmetryElement, u: SystemInput,
+def propagation_step(X: SymmetryElement, nav: np.ndarray,
                      dt: float) -> tuple[SymmetryElement, np.ndarray, np.ndarray]:
-    """One fused prediction step: the next group element, and the error
-    transition matrix A (24x24) and input noise matrix B (24x25) of the
-    core (navigation, biases, extrinsics).
+    """One fused prediction step for the (10,) navigation input nav (the IMU
+    sample): the next group element, and the error transition matrix A
+    (24x24) and input noise matrix B (24x25) of the core.
 
     The mean equals group_compose(X, lift(est, u, dt)) in exact arithmetic,
-    with est = state_action(X, identity_state()) and the clones kept.  With
-    D = X.nav, b and T the estimated biases and extrinsic, E the Galilean
-    exponential of the bias-corrected input and G the gravity increment:
-    nav+ = G D E, shift+ = -Ad(nav+)(b + tau dt), cal+ = pose(nav+) T exp(mu dt).
-    That touches each factor once; the product X.cal @ lift(...).cal would
-    sandwich the lift between the extrinsic factor and its inverse, doubling
-    its off-orthonormal rounding error every step.  A and B are analytic:
-    adjoints of G and of the origin-input increment D E D^-1, plus left
-    Jacobians.  On the static clones they are the identity and zero.
+    with est = state_action(X, identity_state()), u = nav with zero bias and
+    calibration drives, and the clones kept.  With D = X.nav, b and T the
+    estimated biases and extrinsic, E the Galilean exponential of the
+    bias-corrected input and G the gravity increment: nav+ = G D E,
+    shift+ = -Ad(nav+) b, cal+ = pose(nav+) T.  That touches each factor
+    once; the product X.cal @ lift(...).cal would sandwich the lift between
+    the extrinsic factor and its inverse, doubling its off-orthonormal
+    rounding error every step.  A and B are analytic: adjoints of G and of
+    the origin-input increment D E D^-1, plus left Jacobians; B's columns
+    10-24 carry the drives.  On the static clones they are I and zero.
     """
     grav_exp = gravity_step(dt, GRAVITY)
     grav_adj = Gal3.adjoint(grav_exp)
     nav_inv, bias, cal_est = _core_estimate(X)
-    corrected = u.nav - np.append(bias, 0.0)
+    corrected = nav - np.append(bias, 0.0)
     step = X.nav @ Gal3.exp(dt * corrected)
-    nav = grav_exp @ step     # time shifts -dt and dt cancel exactly
-    shift = -(SE23.adjoint(nav) @ (bias + dt * u.tau))
-    cal = se3_part(nav) @ cal_est @ SE3.exp(dt * u.mu)
-    X_next = SymmetryElement(nav=nav, bias_shift=shift, cal=cal, clones=X.clones)
+    nav_next = grav_exp @ step     # time shifts -dt and dt cancel exactly
+    X_next = SymmetryElement(nav=nav_next, bias_shift=-(SE23.adjoint(nav_next) @ bias),
+                             cal=se3_part(nav_next) @ cal_est, clones=X.clones)
 
     ad_nav = Gal3.adjoint(X.nav)
-    ad_cal = SE3.adjoint(X.cal)
     input_exp = step @ nav_inv    # exp(dt w) = D E D^-1
     input_jl = Gal3.left_jacobian(dt * (ad_nav @ corrected))  # origin input w
 
@@ -176,24 +175,23 @@ def propagation_step(X: SymmetryElement, u: SystemInput,
     A[18:24, 18:24] = a2
 
     b1 = -(grav_adj @ input_jl @ ad_nav)[0:9] * dt
-    b2 = -a2 @ SE3.left_jacobian(dt * (ad_cal @ u.mu)) @ ad_cal * dt
 
     B = np.zeros((24, 25))
     B[0:9, 0:10] = b1
     B[9:18, 10:19] = gamma @ upsilon @ ad_nav[0:9, 0:9] * dt
     B[18:24, 0:10] = b1[_ROT_POS]
-    B[18:24, 19:25] = b2
+    B[18:24, 19:25] = -a2 @ SE3.adjoint(X.cal) * dt
     return X_next, A, B
 
 
 def propagate(belief: FilterBelief, u: SystemInput, dt: float, Q: np.ndarray,
               dt_max: float = 0.1) -> FilterBelief:
-    """One prediction step: mean and covariance through propagation_step.
-    A P A^T acts on the core rows, then the core columns; the clone-clone
-    block is left as it is."""
+    """One prediction step: mean and covariance through propagation_step of
+    u.nav; u's drives tau and mu are not read.  A P A^T acts on the core
+    rows, then the core columns; the clone-clone block is left as it is."""
     if not 0.0 < dt <= dt_max * _DT_SLACK:
         raise ValueError(f"bad timestep {dt}")
-    sym, A, B = propagation_step(belief.sym, u, dt)
+    sym, A, B = propagation_step(belief.sym, u.nav, dt)
     cov = belief.cov.copy()
     cov[:24] = A @ cov[:24]
     cov[:, :24] = cov[:, :24] @ A.T
@@ -212,8 +210,10 @@ def _skipped(belief: FilterBelief, message: str) -> FilterBelief:
 
 def _apply_update(belief: FilterBelief, C: np.ndarray, residuals: np.ndarray,
                   noise_diag: np.ndarray, gate: float | None) -> FilterBelief:
-    """Shared update: stacked rows, diagonal measurement noise, optional
-    per-row chi-square gate applied before the one solve."""
+    """Shared update: stacked rows, diagonal measurement noise, optional per-row
+    chi-square gate, one solve; FloatingPointError if the estimate diverged."""
+    if not all(np.isfinite(a).all() for a in (*belief.sym[:3], belief.cov)):
+        raise FloatingPointError("non-finite estimate")
     CP = C @ belief.cov
     if gate is not None:
         innovation_var = np.einsum("ij,ij->i", CP, C) + noise_diag

@@ -251,7 +251,8 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
     no IMU gap and no scan after the last IMU record may exceed dt_max;
     violations abort with the offending record.  A scan with no detections
     is skipped, as it has no row in radar.csv.  Updates that change nothing
-    (singular innovation covariance, every row gated) are counted."""
+    (singular innovation covariance, every row gated) are counted; a
+    non-finite estimate or correction stops the run at that radar scan."""
     times = np.asarray(times, dtype=float)
     scans = [scan for scan in scans if scan.detections]
     belief = initialize(xi0, cov0)
@@ -293,6 +294,12 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
     def record(t):   # estimated pose = nav, mount rotation = R_nav^T cal_rot
         rows[t] = (belief.sym.nav, belief.cov[pose_idx], belief.sym.cal)
 
+    def checked(update, *args):   # an update refuses a non-finite estimate or correction
+        try:
+            return update(*args)
+        except FloatingPointError as exc:
+            raise ValueError(f"the estimate diverged at the radar scan at t={t}: {exc}") from None
+
     last_input, last_time = None, None   # zero-order-held IMU record
     updates = skipped = 0
     for t, kind, idx in events:
@@ -311,11 +318,10 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
             belief = propagate(belief, last_input, t - last_time,
                                settings.Q, settings.dt_max)
             last_time = t
-        gyro_now = last_input.gyro
 
         if settings.use_doppler:
-            updated = update_doppler(belief, scan.detections, gyro_now,
-                                     settings.noise_spec, settings.gate_doppler)
+            updated = checked(update_doppler, belief, scan.detections, last_input.gyro,
+                              settings.noise_spec, settings.gate_doppler)
             updates, skipped = updates + 1, skipped + (updated is belief)
             belief = updated
 
@@ -332,8 +338,8 @@ def run_filter(times, gyro, accel, scans, xi0: SystemState, cov0,
                         fid, ci, tracked[fid].point, clone_points[ci][fid]))
                     matched.add(fid)
             if matches:
-                updated = update_msc(belief, matches, settings.noise_spec,
-                                     settings.gate_msc)
+                updated = checked(update_msc, belief, matches, settings.noise_spec,
+                                  settings.gate_msc)
                 updates, skipped = updates + 1, skipped + (updated is belief)
                 belief = updated
 

@@ -170,8 +170,8 @@ class _SystemInput(NamedTuple):
 
 
 class SystemInput(CheckedRecord, _SystemInput):
-    """System input: IMU-driven navigation input plus bias and calibration
-    drive terms.
+    """System input: IMU-driven navigation input plus the bias and calibration
+    drives of the general input space; the filter's propagation reads nav.
 
     nav  (10,) gyro rad/s, accel m/s^2, virtual velocity input (zero), unit 1
     tau  (9,) bias evolution input
@@ -189,10 +189,6 @@ class SystemInput(CheckedRecord, _SystemInput):
     @property
     def gyro(self) -> np.ndarray:
         return self.nav[0:3]
-
-    @property
-    def accel(self) -> np.ndarray:
-        return self.nav[3:6]
 
     @staticmethod
     def from_imu(gyro, accel) -> "SystemInput":
@@ -247,11 +243,6 @@ def input_action(X: SymmetryElement, u: SystemInput) -> SystemInput:
 
 # --- dynamics and lift ---------------------------------------------------------
 
-def _input_step(u: SystemInput, bias: np.ndarray, dt: float) -> np.ndarray:
-    """Gal(3) increment of the bias-corrected navigation input over dt."""
-    return Gal3.exp(dt * (u.nav - np.append(bias, 0.0)))
-
-
 def discrete_dynamics(xi: SystemState, u: SystemInput, dt: float,
                       gravity=GRAVITY) -> SystemState:
     """Exact zero-order-hold discretization of the navigation kinematics.
@@ -265,7 +256,7 @@ def discrete_dynamics(xi: SystemState, u: SystemInput, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     return xi._replace(
-        pose=gravity_step(dt, gravity) @ xi.pose @ _input_step(u, xi.bias, dt),
+        pose=gravity_step(dt, gravity) @ xi.pose @ Gal3.exp(dt * (u.nav - np.append(xi.bias, 0.0))),
         bias=xi.bias + dt * u.tau,
         cal=xi.cal @ SE3.exp(dt * u.mu),
     )
@@ -279,7 +270,7 @@ def lift(xi: SystemState, u: SystemInput, dt: float, gravity=GRAVITY) -> Symmetr
         raise ValueError("dt must be positive")
     grav_local = Gal3.adjoint(Gal3.inverse(xi.pose)) @ gravity_generator(gravity)
     # time shifts -dt and dt cancel exactly: the product is an extended pose
-    nav = Gal3.exp(-dt * grav_local) @ _input_step(u, xi.bias, dt)
+    nav = Gal3.exp(-dt * grav_local) @ Gal3.exp(dt * (u.nav - np.append(xi.bias, 0.0)))
     cal_inv = SE3.inverse(xi.cal)
     return SymmetryElement(
         nav=nav,
@@ -308,6 +299,8 @@ def error_inverse(eps) -> SymmetryElement:
     eps = np.asarray(eps, dtype=float)
     if eps.shape[0] < 24 or (eps.shape[0] - 24) % 6 != 0:
         raise ValueError(f"error vector length {eps.shape[0]} is not 24 + 6k")
+    if not np.isfinite(eps).all():
+        raise FloatingPointError("non-finite error coordinates")
     # exp (u, w) = (exp u, Jl(u) w)
     return SymmetryElement(
         nav=SE23.exp(eps[0:9]),

@@ -55,7 +55,7 @@ from eqfrio.symmetry import (
     state_action,
 )
 from helpers import assert_close, central_difference, embed_core, random_element
-from test_symmetry import random_group, random_input, random_state
+from test_symmetry import random_group, random_imu_input, random_input, random_state
 from write_golden import GOLDEN
 
 
@@ -149,19 +149,41 @@ def test_run_starts_far_from_the_world_origin():
     assert np.abs(far.e_angle - near.e_angle).max() < 1e-4
 
 
+@pytest.mark.parametrize("sensor, stamp, what", [
+    ("gyro", 1.0, "non-finite error coordinates"),   # the update's correction at record 50
+    ("accel", 1.1, "non-finite estimate"),            # after one propagation period
+])
+def test_run_names_the_radar_scan_at_which_the_estimate_diverges(sensor, stamp, what):
+    # one IMU value of 1e200 made the Lie kernel fail deep in an update's
+    # left Jacobian ("cannot convert float NaN to integer")
+    values, seen = parse_kv_file(GOLDEN / "sim.cfg", SIM_SCHEMA)
+    spec, config = sim_setup_from_values(values, seen)
+    run_values, _ = parse_kv_file(GOLDEN / "run.cfg", RUN_SCHEMA)
+    sim = run_simulation(spec, config)
+    imu = {"gyro": sim.imu_gyro.copy(), "accel": sim.imu_accel.copy()}
+    imu[sensor][50, 0] = 1e200
+    assert sim.times[50] == 1.0
+    settings, xi0, cov0 = prepare_run(run_values, config.imu_rate, sim.rotations[0],
+                                      sim.velocities[0], sim.positions[0],
+                                      config.extrinsics())
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        run_filter(sim.times, imu["gyro"], imu["accel"], sim.scans, xi0, cov0, settings)
+    assert str(err.value) == f"the estimate diverged at the radar scan at t={stamp}: {what}"
+
+
 # --- propagation matrices ---------------------------------------------------------
 
 def test_matrices_zero_step_limit():
     rng = np.random.default_rng(82)
     X = random_group(rng)
     u = random_input(rng)
-    A, B = embed_core(*propagation_step(X, u, 1e-14)[1:], 0)
+    A, B = embed_core(*propagation_step(X, u.nav, 1e-14)[1:], 0)
     assert np.allclose(A, np.eye(24), atol=1e-10)
     assert np.allclose(B, 0.0, atol=1e-10)
 
 
 def _error_step_map(X_hat, u, dt, origin):
-    X_next = propagation_step(X_hat, u, dt)[0]
+    X_next = propagation_step(X_hat, u.nav, dt)[0]
 
     def step(eps):
         xi = state_action(group_compose(error_inverse(eps), X_hat), origin)
@@ -178,8 +200,8 @@ def test_state_matrix_finite_difference(k):
     dt = 0.01
     for _ in range(40 if k == 0 else 20):
         X_hat = random_group(rng, k)
-        u = random_input(rng)
-        A, _ = embed_core(*propagation_step(X_hat, u, dt)[1:], k)
+        u = random_imu_input(rng)
+        A, _ = embed_core(*propagation_step(X_hat, u.nav, dt)[1:], k)
         fd = central_difference(_error_step_map(X_hat, u, dt, origin),
                                 np.zeros(24 + 6 * k), step=1e-6)
         assert_close(A, fd, 1e-4, "state transition matrix")
@@ -192,19 +214,21 @@ def test_input_matrix_finite_difference(k):
     dt = 0.01
     for _ in range(40 if k == 0 else 20):
         X_hat = random_group(rng, k)
-        u = random_input(rng)
-        _, B = embed_core(*propagation_step(X_hat, u, dt)[1:], k)
+        u = random_imu_input(rng)
+        _, B = embed_core(*propagation_step(X_hat, u.nav, dt)[1:], k)
         xi = state_action(X_hat, origin)
         xi_next = discrete_dynamics(xi, u, dt)
 
         def noisy_error(eta):
-            # eta perturbs the 24 stochastic input slots; the unit slot is
+            # eta perturbs the 24 stochastic input slots, the bias and
+            # calibration drives included, through the lift: the fused step
+            # reads the navigation input only.  The unit slot is
             # deterministic and carries no noise by construction
             nav = u.nav.copy()
             nav[0:9] += eta[0:9]
             u_noisy = SystemInput(nav=nav, tau=u.tau + eta[9:18],
                                   mu=u.mu + eta[18:24])
-            X_next = propagation_step(X_hat, u_noisy, dt)[0]
+            X_next = group_compose(X_hat, lift(xi, u_noisy, dt))
             return error_coordinates(X_next, xi_next, origin)
 
         fd = central_difference(noisy_error, np.zeros(24), step=1e-6)
@@ -253,8 +277,8 @@ def test_propagation_step_matches_lift(k, dt):
     rng = np.random.default_rng(93)
     for _ in range(20):
         X = random_group(rng, k)
-        u = random_input(rng)
-        X_next, A, B = propagation_step(X, u, dt)
+        u = random_imu_input(rng)
+        X_next, A, B = propagation_step(X, u.nav, dt)
         expected = group_compose(X, lift(state_action(X, identity_state(k)), u, dt))
         assert np.allclose(X_next.nav, expected.nav, rtol=0.0, atol=1e-12)
         assert np.allclose(X_next.bias_shift, expected.bias_shift, rtol=0.0, atol=1e-12)
@@ -280,8 +304,8 @@ def test_propagate_matches_dense_reference(k):
     dt = 0.02
     for _ in range(5):
         belief = random_belief(rng, k)
-        u = random_input(rng)
-        _, A, B = propagation_step(belief.sym, u, dt)
+        u = random_imu_input(rng)
+        _, A, B = propagation_step(belief.sym, u.nav, dt)
         assert A.shape == (24, 24) and B.shape == (24, 25)
         A_full, B_full = embed_core(A, B, k)
         dense = A_full @ belief.cov @ A_full.T + (B_full @ Q @ B_full.T) / dt

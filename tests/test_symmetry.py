@@ -57,6 +57,12 @@ def random_input(rng, scale=1.0):
                        mu=0.1 * rng.standard_normal(6))
 
 
+def random_imu_input(rng, scale=1.0):
+    """random_input's draws with zero bias and calibration drives: the input
+    the filter's propagation integrates."""
+    return random_input(rng, scale)._replace(tau=np.zeros(9), mu=np.zeros(6))
+
+
 def states_close(a, b, tol=1e-9):
     assert np.allclose(a.pose, b.pose, atol=tol)
     assert np.allclose(a.bias, b.bias, atol=tol)
@@ -258,7 +264,7 @@ def test_dynamics_matches_rk4_oracle():
         for _ in range(steps):
             def deriv(R, v, p):
                 dR = R @ SO3.wedge(u.gyro - bw)
-                dv = R @ (u.accel - ba) + GRAVITY
+                dv = R @ (u.nav[3:6] - ba) + GRAVITY
                 dp = v + R @ (u.nav[6:9] - bn)  # virtual velocity slot
                 return dR, dv, dp
 
@@ -307,7 +313,7 @@ def test_galilean_products_stay_extended_poses(dt):
         X, xi, u = random_group(rng, 2), random_state(rng, 2), random_input(rng, 3.0)
         assert np.array_equal(lift(xi, u, dt).nav[3:5], rows)
         for _ in range(10):
-            X = propagation_step(X, u, dt)[0]
+            X = propagation_step(X, u.nav, dt)[0]
             xi = discrete_dynamics(xi, u, dt)
             assert np.array_equal(X.nav[3:5], rows)
             assert np.array_equal(xi.pose[3:5], rows)
@@ -345,8 +351,8 @@ def test_lifted_step_consistency():
     origin = identity_state(1)
     for _ in range(100):
         X = random_group(rng, 1)
-        u = random_input(rng)
-        X_next = propagation_step(X, u, 0.01)[0]
+        u = random_imu_input(rng)
+        X_next = propagation_step(X, u.nav, 0.01)[0]
         lhs = state_action(X_next, origin)
         rhs = discrete_dynamics(state_action(X, origin), u, 0.01)
         states_close(lhs, rhs, tol=1e-9)
@@ -355,25 +361,23 @@ def test_lifted_step_consistency():
 def test_lifted_step_from_identity():
     rng = np.random.default_rng(47)
     origin = identity_state()
-    u = random_input(rng)
-    X_next = propagation_step(group_identity(), u, 0.02)[0]
+    u = random_imu_input(rng)
+    X_next = propagation_step(group_identity(), u.nav, 0.02)[0]
     groups_close(X_next, lift(origin, u, 0.02), tol=1e-12)
 
 
-def test_lifted_step_halving_is_second_order():
+def test_lifted_step_halving_agrees_to_rounding():
+    # the input is held and the estimated biases and extrinsic do not move
+    # within a step, so two half steps compose to one step
     rng = np.random.default_rng(48)
     X = random_group(rng)
-    u = random_input(rng)
-
-    def defect(dt):
-        one = propagation_step(X, u, dt)[0]
-        half = propagation_step(propagation_step(X, u, dt / 2)[0], u, dt / 2)[0]
-        return np.linalg.norm(one.nav - half.nav) + np.linalg.norm(
-            one.bias_shift - half.bias_shift
-        )
-
-    d1, d2 = defect(0.2), defect(0.1)
-    assert d2 < d1 / 3.0  # about 4x per halving
+    u = random_imu_input(rng)
+    for dt in (0.2, 0.1):
+        one = propagation_step(X, u.nav, dt)[0]
+        half = propagation_step(propagation_step(X, u.nav, dt / 2)[0], u.nav, dt / 2)[0]
+        assert np.allclose(one.nav, half.nav, rtol=0.0, atol=1e-12)
+        assert np.allclose(one.bias_shift, half.bias_shift, rtol=0.0, atol=1e-12)
+        assert np.allclose(one.cal, half.cal, rtol=0.0, atol=1e-12)
 
 
 # --- error chart -------------------------------------------------------------------
